@@ -110,8 +110,8 @@ type Node struct {
 	Engine *sqlexec.Engine
 }
 
-// newNodeWithFiles builds a stack over explicit backing files. wal may be
-// nil (legacy single-copy mode: no recovery log, no crash restart).
+// newNodeWithFiles builds a stack over explicit page and recovery-log
+// backing files.
 func newNodeWithFiles(f pagestore.File, wal walog.File, opts NodeOptions) (*Node, *walog.Log, error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 4096
@@ -124,12 +124,9 @@ func newNodeWithFiles(f pagestore.File, wal walog.File, opts NodeOptions) (*Node
 	if err != nil {
 		return nil, nil, err
 	}
-	var l *walog.Log
-	if wal != nil {
-		l, err = walog.OpenFile(wal, walog.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
+	l, err := walog.OpenFile(wal, walog.Options{})
+	if err != nil {
+		return nil, nil, err
 	}
 	ts, err := tsstore.Open(page, cat, tsstore.Config{BatchSize: opts.BatchSize, Log: l})
 	if err != nil {
@@ -223,8 +220,7 @@ type statsCounters struct {
 
 // Cluster is a set of shard copies with a source-hash router.
 type Cluster struct {
-	opts   Options
-	legacy bool // NewWithFiles: external files, no WAL, no kill/restart
+	opts Options
 
 	nodes  []*nodeState
 	shards [][]*shardCopy // [shard][replica]
@@ -269,31 +265,6 @@ func NewReplicated(opts Options) (*Cluster, error) {
 			copies[k] = cp
 		}
 		c.shards = append(c.shards, copies)
-	}
-	return c, nil
-}
-
-// NewWithFiles builds a single-copy cluster with one node per backing
-// file, so tests can inject faults into individual data servers. Copies
-// built this way carry no recovery log and cannot be killed/restarted.
-func NewWithFiles(files []pagestore.File, opts NodeOptions) (*Cluster, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("cluster: need at least one node")
-	}
-	o := Options{Nodes: len(files), Node: opts, ReplicaTimeout: -1}.withDefaults()
-	c := &Cluster{opts: o, legacy: true, rng: rand.New(rand.NewSource(o.Seed))}
-	for range files {
-		c.nodes = append(c.nodes, &nodeState{})
-	}
-	for s, f := range files {
-		n, _, err := newNodeWithFiles(f, nil, opts)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		cp := &shardCopy{shard: s, replica: 0, host: s, pageBack: f}
-		cp.n.Store(n)
-		c.shards = append(c.shards, []*shardCopy{cp})
 	}
 	return c, nil
 }
@@ -383,9 +354,6 @@ func (c *Cluster) CreateSchema(st model.SchemaType) error {
 // sources its reopened catalog has never heard of. Metadata changes are
 // rare; the synchronous checkpoint is the price of making them durable.
 func (c *Cluster) checkpointMeta(cp *shardCopy, n *Node) error {
-	if cp.walBack == nil {
-		return nil // legacy copies have no crash/restart path
-	}
 	return n.Page.Flush()
 }
 

@@ -9,24 +9,24 @@ import (
 
 	"odh/internal/fault"
 	"odh/internal/model"
-	"odh/internal/pagestore"
 	"odh/internal/retry"
 	"odh/internal/sqlexec"
 )
 
-// newFaultCluster builds a 3-node cluster whose nodes run on fault-
-// injectable files, with a pool small enough that flushes must touch them.
+// newFaultCluster builds a 3-node cluster with one copy per shard, with a
+// pool small enough that flushes must touch the files. It returns each
+// node's page-file fault wrapper (shard i's only copy lives on node i).
+// Replica timeouts are off so faults surface on the calling goroutine.
 func newFaultCluster(t *testing.T) (*Cluster, []*fault.File) {
 	t.Helper()
-	ffs := make([]*fault.File, 3)
-	files := make([]pagestore.File, 3)
-	for i := range ffs {
-		ffs[i] = fault.Wrap(pagestore.NewMemFile())
-		files[i] = ffs[i]
-	}
-	c, err := NewWithFiles(files, NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16})
+	c, err := NewReplicated(Options{Nodes: 3, Replicas: 1, ReplicaTimeout: -1,
+		Node: NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	ffs := make([]*fault.File, c.Nodes())
+	for i := range ffs {
+		ffs[i] = c.shards[i][0].pageF
 	}
 	return c, ffs
 }

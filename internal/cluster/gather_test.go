@@ -21,7 +21,7 @@ import (
 // aggregation must match byte-for-byte.
 func refNode(t *testing.T) *Node {
 	t.Helper()
-	n, _, err := newNodeWithFiles(pagestore.NewMemFile(), nil, NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16})
+	n, _, err := newNodeWithFiles(pagestore.NewMemFile(), pagestore.NewMemFile(), NodeOptions{BatchSize: 8, GroupSize: 4, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ type shardCopy struct {
 	host    int // node hosting this copy
 
 	pageBack pagestore.File // inner backing; survives kill/restart
-	walBack  walog.File     // inner backing of the recovery log; nil in legacy mode
+	walBack  walog.File     // inner backing of the recovery log
 
 	mu    sync.Mutex // serializes kill / restart
 	pageF *fault.File
@@ -184,9 +184,6 @@ func (c *Cluster) readable(cp *shardCopy) error {
 // stacks are dropped. Data durability follows the single-node model: last
 // page-store checkpoint plus recovery-log replay.
 func (c *Cluster) KillNode(i int) error {
-	if c.legacy {
-		return fmt.Errorf("cluster: kill/restart requires a replicated cluster")
-	}
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("cluster: no node %d", i)
 	}
@@ -201,15 +198,10 @@ func (c *Cluster) KillNode(i int) error {
 		}
 		cp.mu.Lock()
 		defer cp.mu.Unlock()
-		if cp.pageF != nil {
-			cp.pageF.FailWritesAfter(0)
-			cp.pageF.FailReadsAfter(0)
-			cp.pageF.FailSyncsAfter(0)
-		}
-		if cp.walF != nil {
-			cp.walF.FailWritesAfter(0)
-			cp.walF.FailReadsAfter(0)
-			cp.walF.FailSyncsAfter(0)
+		for _, f := range []*fault.File{cp.pageF, cp.walF} {
+			f.FailWritesAfter(0)
+			f.FailReadsAfter(0)
+			f.FailSyncsAfter(0)
 		}
 		if wal := cp.wal.Load(); wal != nil {
 			wal.Close() // in-flight appends fail against the armed file
@@ -228,9 +220,6 @@ func (c *Cluster) KillNode(i int) error {
 // point already reached a committed batch is skipped. Copies that missed
 // writes while down stay stale until CatchUp drains their hints.
 func (c *Cluster) RestartNode(i int) error {
-	if c.legacy {
-		return fmt.Errorf("cluster: kill/restart requires a replicated cluster")
-	}
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("cluster: no node %d", i)
 	}
@@ -294,12 +283,8 @@ func (c *Cluster) StallNode(i int, d time.Duration) error {
 		}
 		cp.mu.Lock()
 		defer cp.mu.Unlock()
-		if cp.pageF != nil {
-			cp.pageF.SetLatency(d)
-		}
-		if cp.walF != nil {
-			cp.walF.SetLatency(d)
-		}
+		cp.pageF.SetLatency(d)
+		cp.walF.SetLatency(d)
 		return nil
 	})
 	return nil

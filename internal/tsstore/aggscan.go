@@ -2,12 +2,8 @@ package tsstore
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sync"
 
-	"odh/internal/btree"
-	"odh/internal/keyenc"
 	"odh/internal/model"
 )
 
@@ -147,18 +143,14 @@ func matchPreds(vals []float64, preds []TagPred) bool {
 type aggSpecEx struct {
 	spec  *AggSpec
 	cache *blobCache
-	sig   string
-	tags    []int      // tags to fold (sorted, deduped, in [0, NTags))
-	zones   []TagRange // inclusive hull of Preds for zone-map skipping
-	ntags   int
-	subBase int64           // store's sub-bucket base width (0 = disabled)
-	ctx     context.Context // from Opts.Ctx; observed between records
+	tags  []int      // tags to fold (sorted, deduped, in [0, NTags))
+	zones []TagRange // inclusive hull of Preds for zone-map skipping
+	ntags int
+	ctx   context.Context // from Opts.Ctx; observed between records
 }
 
 func (s *Store) prepAggSpec(spec *AggSpec) *aggSpecEx {
-	sp := &aggSpecEx{spec: spec, ntags: spec.NTags, subBase: s.cfg.SubBucketMs, ctx: spec.Opts.Ctx}
-	sp.cache = s.scanCache(spec.Opts)
-	sp.sig = tagsSig(spec.WantTags)
+	sp := &aggSpecEx{spec: spec, ntags: spec.NTags, ctx: spec.Opts.Ctx, cache: s.scanCache(spec.Opts)}
 	if spec.WantTags == nil {
 		sp.tags = make([]int, spec.NTags)
 		for t := range sp.tags {
@@ -418,429 +410,134 @@ func (pt *aggPartial) foldRow(src, ts int64, vals []float64, sp *aggSpecEx) {
 	}
 }
 
-// foldBatchRows folds a decoded RTS/IRTS batch, filtering to the part
-// range (a boundary blob's rows may spill outside it).
-func (pt *aggPartial) foldBatchRows(src int64, batch *DecodedBatch, r scanRange, sp *aggSpecEx) {
+// foldRows folds a decoded batch's rows inside the part range. MG rows
+// get per-member attribution through the same slot/source filters as the
+// row emitter; RTS/IRTS rows belong to the part's source.
+func (pt *aggPartial) foldRows(p *blobPart, batch *DecodedBatch, members []int64, sp *aggSpecEx) {
 	for i, ts := range batch.Timestamps {
-		if ts >= r.t1 && ts < r.t2 {
+		if src, ok := p.rowOwner(batch, i, members); ok {
 			pt.foldRow(src, ts, batch.Rows[i], sp)
 		}
 	}
 }
 
-// foldMGRows folds a decoded MG record with per-member attribution,
-// mirroring mgIter.fillQueue's slot/source/window filters.
-func (pt *aggPartial) foldMGRows(batch *DecodedBatch, members []int64, onlySource int64, r scanRange, sp *aggSpecEx) {
-	for i, slot := range batch.Slots {
-		if slot >= len(members) {
-			continue
-		}
-		src := members[slot]
-		if onlySource != 0 && src != onlySource {
-			continue
-		}
-		ts := batch.Timestamps[i]
-		if ts < r.t1 || ts >= r.t2 {
-			continue
-		}
-		pt.foldRow(src, ts, batch.Rows[i], sp)
-	}
-}
-
-// aggPart is one independently runnable slice of an aggregate scan.
-type aggPart func(*aggPartial) error
-
-// aggBufferPart folds a dirty-read buffer snapshot (already range
-// filtered). Buffered points carry the same estimated cost as in scans.
-func aggBufferPart(points []model.Point, sp *aggSpecEx) aggPart {
-	return func(pt *aggPartial) error {
-		for _, p := range points {
+// foldPart folds one part into pt. A buffer part folds its snapshot with
+// the same estimated cost a scan charges for buffered points.
+func (s *Store) foldPart(t aggTask, sp *aggSpecEx, pt *aggPartial) error {
+	if t.p.buffer {
+		for _, p := range t.buf {
 			pt.blobBytesRead += pointBlobBytes(len(p.Values))
 			pt.foldRow(p.Source, p.TS, p.Values, sp)
 		}
 		return nil
 	}
+	return s.foldRecords(s.newBlobWalker(sp.ctx, t.p, sp.cache, sp.spec.WantTags, sp.zones), sp, pt)
 }
 
-// aggBatchPart walks one source's RTS/IRTS records over a part range,
-// classifying each against its summary. The cache protocol (version
-// snapshot at leaf load, version check at insert) is identical to
-// batchIter's; see blobCache.vers.
-func (s *Store) aggBatchPart(tree *btree.Tree, source int64, r scanRange, lookback int64, sp *aggSpecEx) aggPart {
-	return func(pt *aggPartial) error {
-		cache := sp.cache
-		loTS := r.t1
-		if lookback > 0 {
-			if loTS > math.MinInt64+lookback+1 {
-				loTS = r.t1 - lookback - 1
-			} else {
-				loTS = math.MinInt64
-			}
+// foldRecords is the aggregate folder over the blob-visit kernel: it
+// classifies each record the walker visits against its summary and
+// decodes only boundary records.
+//
+// An MG record may fold from its summary only when rows need no
+// per-member attribution: no source filter, no GROUP BY id, and every
+// stored slot maps to a known member (the row emitter drops unknown
+// slots, so a fold must too). MG records never sub-fold: their rows are
+// slot-ordered and carry no sub-summaries.
+func (s *Store) foldRecords(w *blobWalker, sp *aggSpecEx, pt *aggPartial) error {
+	p := w.part
+	mg := p.tree == cacheTreeMG
+	var members []int64
+	if mg {
+		members = s.cat.GroupMembers(p.id)
+	}
+	for {
+		v, ok := w.next()
+		if !ok {
+			break
 		}
-		hi := keyenc.SourceTime(source, r.t2)
-		treeID := s.treeID(tree)
-		var vers [cacheVerSlots]uint64
-		var cur *btree.Cursor
-		seekKey := keyenc.SourceTime(source, loTS)
-		if cache != nil {
-			cur = tree.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&vers) })
-		} else {
-			cur = tree.Seek(seekKey)
-		}
-		for cur.Valid() {
-			if err := ctxErr(sp.ctx); err != nil {
-				return err
+		if sum := v.summary(); sum != nil {
+			src, foldable := p.id, true
+			if mg {
+				src, foldable = 0, p.onlySource == 0 && !sp.spec.ByID && sum.members <= len(members)
 			}
-			key := cur.Key()
-			if keyCompare(key, hi) >= 0 {
-				return nil
-			}
-			src, baseTS, err := keyenc.DecodeSourceTime(key)
-			if err != nil {
-				return err
-			}
-			if src != source {
-				return nil
-			}
-			bk := blobKey{tree: treeID, source: source, ts: baseTS}
-			if cache != nil {
-				if e, ok := cache.get(bk, sp.sig); ok {
-					cur.Next()
-					if !e.overlaps(sp.zones) {
-						pt.blobsSkipped++
-						continue
-					}
-					if e.summary != nil {
-						switch classifySummary(e.summary, r.t1, r.t2, sp, true, true) {
-						case classExcluded:
-							continue
-						case classCovered:
-							pt.summaryHits++
-							pt.bytesNotDecoded += e.blobLen
-							pt.foldSummary(source, e.summary, sp)
-							continue
-						case classSubFoldable:
-							if e.sub != nil && subFoldAligned(e.summary, r.t1, r.t2, e.sub.base, sp) {
-								pt.subBucketFolds++
-								pt.subBucketBytesNotDecoded += e.blobLen
-								pt.foldSubSummaries(source, e.summary, e.sub, r.t1, r.t2, sp)
-								continue
-							}
-						}
-					}
-					cache.noteSaved(e.blobLen)
-					pt.foldBatchRows(source, e.batch, r, sp)
+			switch classifySummary(sum, p.r.t1, p.r.t2, sp, foldable, !mg) {
+			case classExcluded:
+				pt.summaryHits++
+				pt.bytesNotDecoded += v.blobLen
+				continue
+			case classCovered:
+				pt.summaryHits++
+				pt.bytesNotDecoded += v.blobLen
+				pt.foldSummary(src, sum, sp)
+				continue
+			case classSubFoldable:
+				// A v3 blob (or a cached entry) folds from its
+				// mini-summaries with zero decode, stubs included: the
+				// block survives stubbing. A v1/v2 blob falls through to
+				// the decode; its cache entry yields them on the next hit.
+				if sub := w.subSummaries(v); sub != nil && subFoldAligned(sum, p.r.t1, p.r.t2, sub.base, sp) {
+					pt.subBucketFolds++
+					pt.subBucketBytesNotDecoded += v.blobLen
+					pt.foldSubSummaries(src, sum, sub, p.r.t1, p.r.t2, sp)
 					continue
 				}
 			}
-			// Read the insert-guard version before Next() can reload the
-			// snapshot; see batchIter.loadOne.
-			var ver uint64
-			if cache != nil {
-				ver = vers[bk.slot()]
-			}
-			blob, err := cur.Value()
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					cur.Next()
-					continue
-				}
-				return err
-			}
-			cur.Next()
-			if !BlobOverlaps(blob, sp.zones) {
-				pt.blobsSkipped++
+		}
+		// A boundary stub needs per-row resolution and its rows are gone:
+		// batch fails loudly with StubbedRangeError, never under-counts.
+		if batch, ok := w.batch(v); ok {
+			pt.foldRows(&w.part, batch, members, sp)
+		}
+	}
+	pt.blobBytesRead += w.bytesRead
+	pt.blobsSkipped += w.skipped
+	return w.err
+}
+
+// aggTask is one part of an aggregate with its buffer snapshot, taken
+// when the aggregate is planned.
+type aggTask struct {
+	p   blobPart
+	buf []model.Point
+}
+
+// foldParts runs the parts (on the worker pool when allowed) and merges
+// their partials in part order, which keeps group emission order
+// identical between serial and parallel runs. Empty buffer parts are
+// dropped before the fan-out.
+func (s *Store) foldParts(parts []blobPart, sp *aggSpecEx, workers int) (*AggResult, error) {
+	tasks := make([]aggTask, 0, len(parts))
+	for _, p := range parts {
+		t := aggTask{p: p}
+		if p.buffer {
+			if t.buf = s.bufferPoints(p); len(t.buf) == 0 {
 				continue
 			}
-			sum, haveSum := parseBlobSummary(blob, baseTS)
-			if haveSum {
-				switch classifySummary(sum, r.t1, r.t2, sp, true, true) {
-				case classExcluded:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					continue
-				case classCovered:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					pt.foldSummary(source, sum, sp)
-					continue
-				case classSubFoldable:
-					// A v3 blob folds from its persisted mini-summaries
-					// with zero decode (stubs included: the block survives
-					// stubbing). v1/v2 blobs fall through to the decode,
-					// which computes and caches sub-summaries lazily.
-					if blob[0]&flagSubBuckets != 0 {
-						if sub, ok := parseBlobSubSummaries(blob, baseTS); ok && subFoldAligned(sum, r.t1, r.t2, sub.base, sp) {
-							pt.subBucketFolds++
-							pt.subBucketBytesNotDecoded += int64(len(blob))
-							pt.foldSubSummaries(source, sum, sub, r.t1, r.t2, sp)
-							continue
-						}
-					}
-				}
-			}
-			if IsStubBlob(blob) {
-				if !haveSum {
-					if s.lenient() {
-						s.noteCorruptBlob()
-						continue
-					}
-					return fmt.Errorf("tsstore: corrupt stub blob source=%d ts=%d", source, baseTS)
-				}
-				// A boundary-classified stub needs per-row resolution (a
-				// window or predicate the summary cannot prove) and its
-				// rows are gone: fail loudly, never under-count.
-				return &StubbedRangeError{Tree: treeName(treeID), Source: source, TS: baseTS, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-			}
-			batch, err := DecodeBlob(blob, baseTS, sp.spec.WantTags)
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					continue
-				}
-				return err
-			}
-			pt.blobBytesRead += int64(len(blob))
-			if cache != nil {
-				es := sum
-				if !haveSum {
-					// Legacy blob: the decode pays for a summary future
-					// aggregate scans fold from the cache (lazy upgrade).
-					es = summaryFromBatch(batch, sp.ntags)
-				}
-				// Sub-summaries ride along the same way: parsed from v3
-				// headers, computed from the decoded rows for v1/v2 blobs
-				// (at the store's base width), so later aggregate scans
-				// sub-fold straddling records straight from the cache.
-				var sub *subSummaries
-				if blob[0]&flagSubBuckets != 0 {
-					sub, _ = parseBlobSubSummaries(blob, baseTS)
-				} else if sp.subBase > 0 {
-					sub = subSummariesFromBatch(batch, sp.ntags, sp.subBase)
-				}
-				zones, hasZones := blobZoneMaps(blob)
-				cache.put(bk, sp.sig, ver, batch, zones, hasZones, int64(len(blob)), es, sub)
-			}
-			pt.foldBatchRows(source, batch, r, sp)
 		}
-		return cur.Err()
+		tasks = append(tasks, t)
 	}
-}
-
-// aggMGPart walks one group's MG records over a part range. A record may
-// fold from its summary only when rows need no per-member attribution:
-// no source filter, no GROUP BY id, and every stored slot maps to a known
-// member (mgIter drops unknown slots, so a fold must too).
-func (s *Store) aggMGPart(group int64, r scanRange, onlySource int64, sp *aggSpecEx) aggPart {
-	return func(pt *aggPartial) error {
-		cache := sp.cache
-		members := s.cat.GroupMembers(group)
-		window := s.groupWindow(group)
-		lo := r.t1
-		if lo > math.MinInt64+window {
-			lo = r.t1 - window
-		}
-		hi := keyenc.SourceTime(group, r.t2)
-		var vers [cacheVerSlots]uint64
-		var cur *btree.Cursor
-		seekKey := keyenc.SourceTime(group, lo)
-		if cache != nil {
-			cur = s.mg.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&vers) })
-		} else {
-			cur = s.mg.Seek(seekKey)
-		}
-		mgFoldable := onlySource == 0 && !sp.spec.ByID
-		for cur.Valid() {
-			if err := ctxErr(sp.ctx); err != nil {
-				return err
-			}
-			key := cur.Key()
-			if keyCompare(key, hi) >= 0 {
-				return nil
-			}
-			grp, ts, err := keyenc.DecodeSourceTime(key)
-			if err != nil || grp != group {
-				return nil
-			}
-			bk := blobKey{tree: cacheTreeMG, source: group, ts: ts}
-			if cache != nil {
-				if e, ok := cache.get(bk, sp.sig); ok {
-					cur.Next()
-					if !e.overlaps(sp.zones) {
-						pt.blobsSkipped++
-						continue
-					}
-					if e.summary != nil {
-						foldable := mgFoldable && e.summary.members <= len(members)
-						switch classifySummary(e.summary, r.t1, r.t2, sp, foldable, false) {
-						case classExcluded:
-							continue
-						case classCovered:
-							pt.summaryHits++
-							pt.bytesNotDecoded += e.blobLen
-							pt.foldSummary(0, e.summary, sp)
-							continue
-						}
-					}
-					cache.noteSaved(e.blobLen)
-					pt.foldMGRows(e.batch, members, onlySource, r, sp)
-					continue
-				}
-			}
-			var ver uint64
-			if cache != nil {
-				ver = vers[bk.slot()]
-			}
-			blob, err := cur.Value()
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					cur.Next()
-					continue
-				}
-				return err
-			}
-			cur.Next()
-			if !BlobOverlaps(blob, sp.zones) {
-				pt.blobsSkipped++
-				continue
-			}
-			sum, haveSum := parseBlobSummary(blob, ts)
-			if haveSum {
-				foldable := mgFoldable && sum.members <= len(members)
-				switch classifySummary(sum, r.t1, r.t2, sp, foldable, false) {
-				case classExcluded:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					continue
-				case classCovered:
-					pt.summaryHits++
-					pt.bytesNotDecoded += int64(len(blob))
-					pt.foldSummary(0, sum, sp)
-					continue
-				}
-			}
-			if IsStubBlob(blob) {
-				if !haveSum {
-					if s.lenient() {
-						s.noteCorruptBlob()
-						continue
-					}
-					return fmt.Errorf("tsstore: corrupt stub blob group=%d ts=%d", group, ts)
-				}
-				return &StubbedRangeError{Tree: "ts.mg", Source: group, TS: ts, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-			}
-			batch, err := DecodeBlob(blob, ts, sp.spec.WantTags)
-			if err != nil {
-				if s.lenient() {
-					s.noteCorruptBlob()
-					continue
-				}
-				return err
-			}
-			pt.blobBytesRead += int64(len(blob))
-			if cache != nil {
-				es := sum
-				if !haveSum {
-					es = summaryFromBatch(batch, sp.ntags)
-				}
-				// No sub-summaries for MG: subSummariesFromBatch returns
-				// nil for slot-ordered batches, and MG blobs never carry
-				// the v3 block.
-				zones, hasZones := blobZoneMaps(blob)
-				cache.put(bk, sp.sig, ver, batch, zones, hasZones, int64(len(blob)), es, nil)
-			}
-			pt.foldMGRows(batch, members, onlySource, r, sp)
-		}
-		return cur.Err()
-	}
-}
-
-// historicalAggParts decomposes one source's aggregate exactly like
-// HistoricalScanOpts decomposes its scan: batch parts per ts-disjoint
-// range, MG record parts for group-ingesting sources, and the dirty-read
-// buffer snapshot.
-func (s *Store) historicalAggParts(source int64, sp *aggSpecEx, workers int) ([]aggPart, error) {
-	ds, ok := s.cat.Source(source)
-	if !ok {
-		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
-	}
-	spec := sp.spec
-	stats := s.cat.Stats(source)
-	ranges := splitScanRange(spec.T1, spec.T2, stats, workers)
-	var parts []aggPart
-	if ds.IngestStructure() == model.MG {
-		if stats.BatchCount > 0 {
-			tree := s.treeFor(ds.HistoricalStructure())
-			for _, r := range ranges {
-				parts = append(parts, s.aggBatchPart(tree, source, r, stats.MaxSpanMs, sp))
-			}
-		}
-		for _, r := range ranges {
-			parts = append(parts, s.aggMGPart(ds.Group, r, source, sp))
-		}
-		if buf := s.snapshotGroupBuffer(ds.Group, spec.T1, spec.T2, source); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
-	} else {
-		tree := s.treeFor(ds.IngestStructure())
-		for _, r := range ranges {
-			parts = append(parts, s.aggBatchPart(tree, source, r, stats.MaxSpanMs, sp))
-		}
-		if buf := s.snapshotSourceBuffer(source, spec.T1, spec.T2); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
-	}
-	return parts, nil
-}
-
-// runAggParts executes the parts (on the worker pool when allowed) and
-// merges their partials in part order, which keeps group emission order
-// identical between serial and parallel runs.
-func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggResult, error) {
-	partials := make([]*aggPartial, len(parts))
-	for i := range partials {
+	partials := make([]*aggPartial, len(tasks))
+	errs := make([]error, len(tasks))
+	run := func(i int) {
+		// Parts observe ctx before they start: a canceled query stops
+		// folding instead of racing the pool to completion.
 		partials[i] = newAggPartial()
+		if errs[i] = ctxErr(sp.ctx); errs[i] == nil {
+			errs[i] = s.foldPart(tasks[i], sp, partials[i])
+		}
 	}
-	if workers > 1 && len(parts) > 1 {
-		if workers > len(parts) {
-			workers = len(parts)
-		}
-		sem := make(chan struct{}, workers)
-		errs := make([]error, len(parts))
-		var wg sync.WaitGroup
-		for i, p := range parts {
-			wg.Add(1)
-			go func(i int, p aggPart) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				// Workers observe ctx between parts: a canceled query
-				// stops folding instead of racing the pool to completion.
-				if err := ctxErr(sp.ctx); err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = p(partials[i])
-			}(i, p)
-		}
-		wg.Wait()
-		s.parallelScans.Add(1)
-		s.parallelParts.Add(int64(len(parts)))
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+	if workers > 1 && len(tasks) > 1 {
+		s.fanOut(len(tasks), workers, run).Wait()
 	} else {
-		for i, p := range parts {
-			if err := ctxErr(sp.ctx); err != nil {
-				return nil, err
+		for i := range tasks {
+			if run(i); errs[i] != nil {
+				break
 			}
-			if err := p(partials[i]); err != nil {
-				return nil, err
-			}
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	res := &AggResult{}
@@ -886,67 +583,32 @@ func (s *Store) runAggParts(parts []aggPart, sp *aggSpecEx, workers int) (*AggRe
 func (s *Store) AggregateHistorical(source int64, spec AggSpec) (*AggResult, error) {
 	sp := s.prepAggSpec(&spec)
 	workers := clampWorkers(spec.Opts.Workers)
-	parts, err := s.historicalAggParts(source, sp, workers)
+	parts, err := s.planSource(source, spec.T1, spec.T2, workers)
 	if err != nil {
 		return nil, err
 	}
-	return s.runAggParts(parts, sp, workers)
+	return s.foldParts(parts, sp, workers)
 }
 
 // AggregateMulti aggregates an explicit source list (the id IN (...)
-// pushdown). Each source stays serial inside; the fan-out is across
-// sources, like MultiHistoricalScanOpts. Unknown ids contribute nothing.
+// pushdown). Each source is planned serially; the fan-out is across all
+// their parts. Unknown ids contribute nothing.
 func (s *Store) AggregateMulti(sources []int64, spec AggSpec) (*AggResult, error) {
 	sp := s.prepAggSpec(&spec)
-	workers := clampWorkers(spec.Opts.Workers)
-	var parts []aggPart
+	var parts []blobPart
 	for _, src := range sources {
-		p, err := s.historicalAggParts(src, sp, 1)
+		p, err := s.planSource(src, spec.T1, spec.T2, 1)
 		if err != nil {
 			continue
 		}
 		parts = append(parts, p...)
 	}
-	return s.runAggParts(parts, sp, workers)
+	return s.foldParts(parts, sp, clampWorkers(spec.Opts.Workers))
 }
 
 // AggregateSlice aggregates every source of a schema over the window, the
 // pushdown twin of SliceScanOpts (including its partition elimination).
 func (s *Store) AggregateSlice(schemaID int64, spec AggSpec) (*AggResult, error) {
 	sp := s.prepAggSpec(&spec)
-	workers := clampWorkers(spec.Opts.Workers)
-	full := scanRange{spec.T1, spec.T2}
-	var parts []aggPart
-	for _, g := range s.cat.GroupsBySchema(schemaID) {
-		for _, src := range s.cat.GroupMembers(g) {
-			ds, ok := s.cat.Source(src)
-			if !ok {
-				continue
-			}
-			stats := s.cat.Stats(src)
-			if stats.BatchCount == 0 {
-				continue
-			}
-			parts = append(parts, s.aggBatchPart(s.treeFor(ds.HistoricalStructure()), src, full, stats.MaxSpanMs, sp))
-		}
-		parts = append(parts, s.aggMGPart(g, full, 0, sp))
-		if buf := s.snapshotGroupBuffer(g, spec.T1, spec.T2, 0); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
-	}
-	for _, src := range s.cat.SourcesBySchema(schemaID) {
-		ds, ok := s.cat.Source(src)
-		if !ok || ds.IngestStructure() == model.MG {
-			continue
-		}
-		stats := s.cat.Stats(src)
-		if stats.PointCount > 0 && (stats.LastTS < spec.T1 || stats.FirstTS >= spec.T2) && s.bufferEmpty(src) {
-			continue // partition elimination: no data in range
-		}
-		parts = append(parts, s.aggBatchPart(s.treeFor(ds.IngestStructure()), src, full, stats.MaxSpanMs, sp))
-		if buf := s.snapshotSourceBuffer(src, spec.T1, spec.T2); len(buf) > 0 {
-			parts = append(parts, aggBufferPart(buf, sp))
-		}
-	}
-	return s.runAggParts(parts, sp, workers)
+	return s.foldParts(s.planSlice(schemaID, spec.T1, spec.T2), sp, clampWorkers(spec.Opts.Workers))
 }

@@ -1,6 +1,7 @@
 package tsstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -588,4 +589,131 @@ func TestBucketFloorMatchesTimeBucket(t *testing.T) {
 			t.Fatalf("bucketFloor(%d, %d) = %d, want %d", tc.ts, tc.w, got, tc.want)
 		}
 	}
+}
+
+// TestAggregateCountersIndependentOfCache pins the fold counters to the
+// store, not to the cache: one aggregate run cold, warm after the same
+// aggregate, and warm after a row scan with the same wantTags must report
+// the same SummaryHits, BytesNotDecoded, SubBucketFolds,
+// SubBucketBytesNotDecoded and BlobsSkipped, and the same groups. The
+// spec mixes every record class over a v3 store with RTS and MG sources:
+// window-excluded records, zone-map skips, covered and sub-bucket folds,
+// and boundary decodes.
+func TestAggregateCountersIndependentOfCache(t *testing.T) {
+	const batch = 32
+	blobStart := func(k int) int64 { return 1000 + int64(k)*batch*10 }
+	build := func(t *testing.T) (*fixture, *model.SchemaType, *model.DataSource, *model.DataSource) {
+		f := newFixture(t, Config{BatchSize: batch, SubBucketMs: 40, BlobCacheBytes: 8 << 20}, 2)
+		schema := f.schema(t, "parity", 2)
+		rts := f.source(t, schema.ID, true, 10)
+		a := f.source(t, schema.ID, true, 1000)
+		b := f.source(t, schema.ID, true, 1000)
+		if a.Group == 0 || a.Group != b.Group {
+			t.Fatalf("MG sources not grouped: %d vs %d", a.Group, b.Group)
+		}
+		for i := 0; i < batch*16; i++ {
+			// Tag 0 is the blob index, except blob 5, which the
+			// predicate's zone maps exclude.
+			v := float64(i / batch)
+			if i/batch == 5 {
+				v = 100
+			}
+			if err := f.store.Write(model.Point{Source: rts.ID, TS: 1000 + int64(i)*10, Values: []float64{v, float64(i % 13)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for w := int64(0); w < 40; w++ {
+			for _, ds := range []*model.DataSource{a, b} {
+				p := model.Point{Source: ds.ID, TS: 1000 + w*1000 + int64(ds.GroupSlot), Values: []float64{float64(w % 11), float64(ds.ID)}}
+				if err := f.store.Write(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := f.store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return f, schema, rts, a
+	}
+	// T1 sits one lookback past blob 2's start, so the seek visits blob 2
+	// but every row of it lies before the window (a window exclusion).
+	t1 := blobStart(2) + batch*10 - 10 + 1
+	specs := map[string]AggSpec{
+		"mixed": {T1: t1, T2: blobStart(12) + 5, NTags: 2, BucketMs: 40,
+			Preds: []TagPred{{Tag: 0, Lo: 0, Hi: 12}}},
+		"covered": {T1: t1, T2: math.MaxInt64 / 2, NTags: 2},
+	}
+	type call struct {
+		name string
+		agg  func(f *fixture, schema *model.SchemaType, rts, mg *model.DataSource, spec AggSpec) (*AggResult, error)
+		scan func(f *fixture, schema *model.SchemaType, rts, mg *model.DataSource, spec AggSpec, opts ScanOptions) (Iterator, error)
+	}
+	calls := []call{
+		{"historical-rts",
+			func(f *fixture, _ *model.SchemaType, rts, _ *model.DataSource, spec AggSpec) (*AggResult, error) {
+				return f.store.AggregateHistorical(rts.ID, spec)
+			},
+			func(f *fixture, _ *model.SchemaType, rts, _ *model.DataSource, spec AggSpec, opts ScanOptions) (Iterator, error) {
+				return f.store.HistoricalScanOpts(rts.ID, spec.T1, spec.T2, spec.WantTags, opts)
+			}},
+		{"historical-mg",
+			func(f *fixture, _ *model.SchemaType, _, mg *model.DataSource, spec AggSpec) (*AggResult, error) {
+				return f.store.AggregateHistorical(mg.ID, spec)
+			},
+			func(f *fixture, _ *model.SchemaType, _, mg *model.DataSource, spec AggSpec, opts ScanOptions) (Iterator, error) {
+				return f.store.HistoricalScanOpts(mg.ID, spec.T1, spec.T2, spec.WantTags, opts)
+			}},
+		{"slice",
+			func(f *fixture, schema *model.SchemaType, _, _ *model.DataSource, spec AggSpec) (*AggResult, error) {
+				return f.store.AggregateSlice(schema.ID, spec)
+			},
+			func(f *fixture, schema *model.SchemaType, _, _ *model.DataSource, spec AggSpec, opts ScanOptions) (Iterator, error) {
+				return f.store.SliceScanOpts(schema.ID, spec.T1, spec.T2, spec.WantTags, opts)
+			}},
+	}
+	for _, workers := range []int{1, 4} {
+		for specName, spec := range specs {
+			spec.Opts.Workers = workers
+			for _, c := range calls {
+				label := fmt.Sprintf("workers=%d/%s/%s", workers, specName, c.name)
+				var results []*AggResult
+				for _, warm := range []string{"cold", "agg", "scan"} {
+					f, schema, rts, mg := build(t)
+					switch warm {
+					case "agg":
+						if _, err := c.agg(f, schema, rts, mg, spec); err != nil {
+							t.Fatal(err)
+						}
+					case "scan":
+						it, err := c.scan(f, schema, rts, mg, spec, spec.Opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						collect(t, it)
+					}
+					res, err := c.agg(f, schema, rts, mg, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					results = append(results, res)
+				}
+				cold := results[0]
+				if c.name != "historical-mg" && cold.SummaryHits == 0 {
+					t.Fatalf("%s: spec folds nothing from summaries: %v", label, foldCounters(cold))
+				}
+				for i, warm := range []string{"agg", "scan"} {
+					got := results[i+1]
+					sameAggResult(t, label+"/warm-"+warm, cold, got)
+					if foldCounters(got) != foldCounters(cold) {
+						t.Fatalf("%s: warm-%s counters differ from cold:\ncold %v\nwarm %v", label, warm, foldCounters(cold), foldCounters(got))
+					}
+				}
+			}
+		}
+	}
+}
+
+// foldCounters lists an aggregate's record-class counters.
+func foldCounters(r *AggResult) [5]int64 {
+	return [5]int64{r.SummaryHits, r.BytesNotDecoded, r.SubBucketFolds, r.SubBucketBytesNotDecoded, r.BlobsSkipped}
 }

@@ -602,21 +602,6 @@ func summaryFromBatch(batch *DecodedBatch, ntags int) *blobSummary {
 	return s
 }
 
-// cacheSummary resolves the summary a cache insert should carry: the
-// header block for summary-format blobs, else one computed from the
-// decoded batch (valid only for the tags that decode materialized, which
-// matches the cache entry's tag signature).
-func cacheSummary(blob []byte, baseTS int64, batch *DecodedBatch) *blobSummary {
-	if sum, ok := parseBlobSummary(blob, baseTS); ok {
-		return sum
-	}
-	ntags := 0
-	if len(batch.Rows) > 0 {
-		ntags = len(batch.Rows[0])
-	}
-	return summaryFromBatch(batch, ntags)
-}
-
 // summaryMatches reports whether a parsed header summary agrees with a
 // full decode of the same blob (the fsck cross-check). Float fields
 // compare by bit pattern: summaries must be exact, not approximately
@@ -708,21 +693,7 @@ func subSummariesFromRows(ts []int64, rows [][]float64, ntags int, base int64, m
 	if k64 < 1 || k64 > int64(max) {
 		return nil
 	}
-	k := int(k64)
-	sub := &subSummaries{base: base, start: start, buckets: make([]subBucketStat, k)}
-	nn := make([]int64, k*ntags)
-	fl := make([]float64, 3*k*ntags)
-	for i := range sub.buckets {
-		b := &sub.buckets[i]
-		b.nonNull = nn[i*ntags : (i+1)*ntags]
-		b.sum = fl[i*3*ntags : i*3*ntags+ntags]
-		b.min = fl[i*3*ntags+ntags : i*3*ntags+2*ntags]
-		b.max = fl[i*3*ntags+2*ntags : i*3*ntags+3*ntags]
-		for tag := 0; tag < ntags; tag++ {
-			b.min[tag] = math.Inf(1)
-			b.max[tag] = math.Inf(-1)
-		}
-	}
+	sub := newSubSummaries(base, start, int(k64), ntags)
 	for i, t := range ts {
 		b := &sub.buckets[(model.BucketFloor(t, base)-start)/base]
 		b.rows++
@@ -740,6 +711,26 @@ func subSummariesFromRows(ts []int64, rows [][]float64, ntags int, base int64, m
 			if v > b.max[tag] {
 				b.max[tag] = v
 			}
+		}
+	}
+	return sub
+}
+
+// newSubSummaries allocates k empty buckets of ntags tags over one
+// shared backing array, min/max at the empty sentinel.
+func newSubSummaries(base, start int64, k, ntags int) *subSummaries {
+	sub := &subSummaries{base: base, start: start, buckets: make([]subBucketStat, k)}
+	nn := make([]int64, k*ntags)
+	fl := make([]float64, 3*k*ntags)
+	for i := range sub.buckets {
+		b := &sub.buckets[i]
+		b.nonNull = nn[i*ntags : (i+1)*ntags]
+		b.sum = fl[i*3*ntags : i*3*ntags+ntags]
+		b.min = fl[i*3*ntags+ntags : i*3*ntags+2*ntags]
+		b.max = fl[i*3*ntags+2*ntags : i*3*ntags+3*ntags]
+		for tag := 0; tag < ntags; tag++ {
+			b.min[tag] = math.Inf(1)
+			b.max[tag] = math.Inf(-1)
 		}
 	}
 	return sub
@@ -827,6 +818,12 @@ func parseBlobSubSummaries(b []byte, baseTS int64) (*subSummaries, bool) {
 	if !ok {
 		return nil, false
 	}
+	return parseSubBucketBlock(sum, rest)
+}
+
+// parseSubBucketBlock parses the sub-bucket block that follows a parsed
+// whole-blob summary and cross-checks it against that summary.
+func parseSubBucketBlock(sum *blobSummary, rest []byte) (*subSummaries, bool) {
 	ntags := len(sum.nonNull)
 	base, n := binary.Varint(rest)
 	if n <= 0 || base <= 0 {
@@ -842,8 +839,7 @@ func parseBlobSubSummaries(b []byte, baseTS int64) (*subSummaries, bool) {
 	if wantK := (model.BucketFloor(sum.lastTS, base)-start)/base + 1; sum.rows == 0 || wantK != int64(kU) {
 		return nil, false
 	}
-	k := int(kU)
-	sub := &subSummaries{base: base, start: start, buckets: make([]subBucketStat, k)}
+	sub := newSubSummaries(base, start, int(kU), ntags)
 	var totalRows int64
 	totalNN := make([]int64, ntags)
 	for i := range sub.buckets {
@@ -855,10 +851,6 @@ func parseBlobSubSummaries(b []byte, baseTS int64) (*subSummaries, bool) {
 		rest = rest[n:]
 		bk.rows = int64(rowsU)
 		totalRows += bk.rows
-		bk.nonNull = make([]int64, ntags)
-		bk.sum = make([]float64, ntags)
-		bk.min = make([]float64, ntags)
-		bk.max = make([]float64, ntags)
 		for tag := 0; tag < ntags; tag++ {
 			nn, n := binary.Uvarint(rest)
 			if n <= 0 || int64(nn) > bk.rows {
@@ -875,9 +867,6 @@ func parseBlobSubSummaries(b []byte, baseTS int64) (*subSummaries, bool) {
 				bk.min[tag] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
 				bk.max[tag] = math.Float64frombits(binary.LittleEndian.Uint64(rest[16:]))
 				rest = rest[24:]
-			} else {
-				bk.min[tag] = math.Inf(1)
-				bk.max[tag] = math.Inf(-1)
 			}
 		}
 	}

@@ -79,10 +79,11 @@ type cacheEntry struct {
 	// Like the batch, it is only valid for the tags sig selects.
 	summary *blobSummary
 	// sub holds the per-sub-bucket mini-summaries at the store's base
-	// width: parsed from v3 headers, computed from the decoded batch for
-	// v1/v2 blobs on their first aggregate decode (the same lazy upgrade
-	// as summary). nil when unavailable (MG batches, plain row scans,
-	// sub-buckets disabled). Valid only for the tags sig selects.
+	// width, computed from the decoded batch the first time an aggregate
+	// asks for them (see subSummaries) — never for entries only row scans
+	// read, so scans pay neither the time nor the memory. Valid only for
+	// the tags sig selects.
+	subOnce sync.Once
 	sub     *subSummaries
 	blobLen int64 // encoded size: the bytes a hit saves
 	size    int64 // decoded memory footprint charged against the budget
@@ -173,7 +174,7 @@ func (c *blobCache) snapshotAll(dst *[cacheVerSlots]uint64) {
 
 // put caches a decoded blob unless the key was invalidated since ver was
 // snapshotted. The batch becomes shared and must not be mutated.
-func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch, zones []zoneMap, hasZones bool, blobLen int64, summary *blobSummary, sub *subSummaries) {
+func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch, zones []zoneMap, hasZones bool, blobLen int64, summary *blobSummary) {
 	size := decodedSize(batch, zones)
 	if size > c.maxBytes {
 		return // larger than the whole budget: not cacheable
@@ -191,7 +192,7 @@ func (c *blobCache) put(bk blobKey, sig string, ver uint64, batch *DecodedBatch,
 	if old, ok := variants[sig]; ok {
 		c.removeLocked(old)
 	}
-	e := &cacheEntry{bk: bk, sig: sig, batch: batch, zones: zones, hasZones: hasZones, summary: summary, sub: sub, blobLen: blobLen, size: size}
+	e := &cacheEntry{bk: bk, sig: sig, batch: batch, zones: zones, hasZones: hasZones, summary: summary, blobLen: blobLen, size: size}
 	e.elem = c.lru.PushFront(e)
 	variants[sig] = e
 	c.curBytes += size
@@ -230,6 +231,21 @@ func (c *blobCache) removeLocked(e *cacheEntry) {
 			delete(c.entries, e.bk)
 		}
 	}
+}
+
+// subSummaries returns the entry's per-sub-bucket summaries at base width
+// (nil when base is 0 or the batch is an MG record), computing them from
+// the decoded batch on first use. They match the persisted v3 block of a
+// blob written at the same base, so a fold from a cached entry equals a
+// fold from the raw blob; v1/v2 blobs get them the same way (the lazy
+// upgrade).
+func (e *cacheEntry) subSummaries(base int64) *subSummaries {
+	e.subOnce.Do(func() {
+		if base > 0 && len(e.batch.Rows) > 0 {
+			e.sub = subSummariesFromBatch(e.batch, len(e.batch.Rows[0]), base)
+		}
+	})
+	return e.sub
 }
 
 // overlaps applies the same skip decision BlobOverlaps would have made on

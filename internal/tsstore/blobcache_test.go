@@ -176,13 +176,13 @@ func TestBlobCacheStaleInsertDropped(t *testing.T) {
 	var vers [cacheVerSlots]uint64
 	c.snapshotAll(&vers) // leaf-load-time snapshot
 	c.invalidateKey(bk)  // writer overwrote the blob between copy and insert
-	c.put(bk, "*", vers[bk.slot()], batch, nil, false, 64, nil, nil)
+	c.put(bk, "*", vers[bk.slot()], batch, nil, false, 64, nil)
 	if _, ok := c.get(bk, "*"); ok {
 		t.Fatal("stale insert was served")
 	}
 	// A fresh snapshot inserts fine.
 	c.snapshotAll(&vers)
-	c.put(bk, "*", vers[bk.slot()], batch, nil, false, 64, nil, nil)
+	c.put(bk, "*", vers[bk.slot()], batch, nil, false, 64, nil)
 	if _, ok := c.get(bk, "*"); !ok {
 		t.Fatal("fresh insert missing")
 	}
@@ -199,59 +199,92 @@ func TestBlobCacheStaleInsertDropped(t *testing.T) {
 // ordinary ingest) and invalidates the key, and only then does the
 // reader decode its — now stale — leaf copy and offer it to the cache.
 // The insert must be dropped: the reader itself may serve the old bytes
-// (dirty-read isolation), but later cached scans must see the new ones.
+// (dirty-read isolation), but later cached reads must see the new ones.
+// The stale reader is the blob-visit kernel under each of its consumers:
+// the row emitter and the aggregate folder.
 func TestBlobCacheLeafCopySnapshotRace(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 8, MaxOpenMGRows: 8, BlobCacheBytes: 1 << 20}, 4)
-	s := f.schema(t, "leafrace", 2)
-	var mgs []*model.DataSource
-	for i := 0; i < 4; i++ {
-		mgs = append(mgs, f.source(t, s.ID, true, 10_000))
-	}
-	// Three complete windows; each flushes an MG record on completion.
-	for w := 1; w <= 3; w++ {
-		for _, ds := range mgs {
-			p := model.Point{Source: ds.ID, TS: int64(w)*10_000 + int64(ds.GroupSlot), Values: []float64{float64(w), -float64(w)}}
+	for _, consumer := range []string{"rows", "fold"} {
+		t.Run(consumer, func(t *testing.T) {
+			f := newFixture(t, Config{BatchSize: 8, MaxOpenMGRows: 8, BlobCacheBytes: 1 << 20}, 4)
+			s := f.schema(t, "leafrace", 2)
+			var mgs []*model.DataSource
+			for i := 0; i < 4; i++ {
+				mgs = append(mgs, f.source(t, s.ID, true, 10_000))
+			}
+			// Three complete windows; each flushes an MG record on completion.
+			for w := 1; w <= 3; w++ {
+				for _, ds := range mgs {
+					p := model.Point{Source: ds.ID, TS: int64(w)*10_000 + int64(ds.GroupSlot), Values: []float64{float64(w), -float64(w)}}
+					if err := f.store.Write(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := f.store.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			group := mgs[0].Group
+			// GROUP BY id keeps MG records off the summary fold, so the
+			// folder decodes (and offers to the cache) every record.
+			spec := AggSpec{T1: math.MinInt64, T2: math.MaxInt64, NTags: 2, ByID: true}
+
+			// The reader's cursor copies the leaf (and snapshots cache
+			// versions) at Seek, i.e. now — before the overwrite below.
+			part := blobPart{tree: cacheTreeMG, id: group, r: scanRange{math.MinInt64, math.MaxInt64}}
+			stale := f.store.newBlobWalker(nil, part, f.store.cache, nil, nil)
+
+			// Overwrite window 2's record in place: a duplicate-timestamp
+			// arrival for member 0 replaces the stored value and
+			// invalidates the key.
+			p := model.Point{Source: mgs[0].ID, TS: 2*10_000 + int64(mgs[0].GroupSlot), Values: []float64{99, -99}}
 			if err := f.store.Write(p); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if err := f.store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	group := mgs[0].Group
+			if err := f.store.Flush(); err != nil {
+				t.Fatal(err)
+			}
 
-	// The reader's cursor copies the leaf (and snapshots cache versions)
-	// at Seek, i.e. now — before the overwrite below.
-	stale := f.store.newMGIter(nil, group, f.store.cache, math.MinInt64, math.MaxInt64, 0, nil, nil)
+			// Drain the stale reader: it decodes old bytes from its leaf
+			// copy and offers them to the cache; the version check must
+			// reject the insert.
+			if consumer == "rows" {
+				it := &rowIter{w: stale, mg: true, members: f.store.cat.GroupMembers(group)}
+				for {
+					if _, ok := it.Next(); !ok {
+						break
+					}
+				}
+				if err := it.Err(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				sp := f.store.prepAggSpec(&spec)
+				if err := f.store.foldRecords(stale, sp, newAggPartial()); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Overwrite window 2's record in place: a duplicate-timestamp arrival
-	// for member 0 replaces the stored value and invalidates the key.
-	p := model.Point{Source: mgs[0].ID, TS: 2*10_000 + int64(mgs[0].GroupSlot), Values: []float64{99, -99}}
-	if err := f.store.Write(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.store.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drain the stale reader: it decodes old bytes from its leaf copy and
-	// offers them to the cache; the version check must reject the insert.
-	for {
-		if _, ok := stale.Next(); !ok {
-			break
-		}
-	}
-	if err := stale.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, ds := range mgs {
-		cached := scanAll(t, f.store, ds.ID, ScanOptions{})
-		raw := scanAll(t, f.store, ds.ID, ScanOptions{NoCache: true})
-		if !reflect.DeepEqual(cached, raw) {
-			t.Fatalf("source %d: stale decode was cached (%v vs %v)", ds.ID, cached, raw)
-		}
+			for _, ds := range mgs {
+				cached := scanAll(t, f.store, ds.ID, ScanOptions{})
+				raw := scanAll(t, f.store, ds.ID, ScanOptions{NoCache: true})
+				if !reflect.DeepEqual(cached, raw) {
+					t.Fatalf("source %d: stale decode was cached (%v vs %v)", ds.ID, cached, raw)
+				}
+				rawSpec := spec
+				rawSpec.Opts.NoCache = true
+				ca, err := f.store.AggregateHistorical(ds.ID, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ra, err := f.store.AggregateHistorical(ds.ID, rawSpec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ca.Groups, ra.Groups) {
+					t.Fatalf("source %d: stale decode was cached for folds (%+v vs %+v)", ds.ID, ca.Groups, ra.Groups)
+				}
+			}
+		})
 	}
 }
 

@@ -34,7 +34,8 @@ func (s *Store) CoalesceSource(source int64) (CoalesceResult, error) {
 	if structure == model.MG {
 		structure = ds.HistoricalStructure()
 	}
-	tree := s.treeFor(structure)
+	treeID := treeFor(structure)
+	tree := s.trees[treeID]
 
 	// Collect the source's batches and find undersized ones.
 	lo := keyenc.SourceTime(source, -1<<62)
@@ -100,7 +101,6 @@ func (s *Store) CoalesceSource(source int64) (CoalesceResult, error) {
 	// Batches can overlap after out-of-order ingest; restore global order
 	// with a stable merge (mostly-sorted input).
 	insertionSortPoints(all)
-	treeID := s.treeID(tree)
 	for _, r := range recs {
 		err := tree.Delete(r.key)
 		if _, ts, derr := keyenc.DecodeSourceTime(r.key); derr == nil {

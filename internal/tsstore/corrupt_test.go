@@ -1,6 +1,7 @@
 package tsstore
 
 import (
+	"math"
 	"testing"
 
 	"odh/internal/keyenc"
@@ -23,10 +24,10 @@ func writeRTSRun(t *testing.T, f *fixture, src *model.DataSource, t0 int64, n in
 func corruptOneBlob(t *testing.T, f *fixture, src, ts int64) {
 	t.Helper()
 	key := keyenc.SourceTime(src, ts)
-	if _, err := f.store.rts.Get(key); err != nil {
+	if _, err := f.store.trees[cacheTreeRTS].Get(key); err != nil {
 		t.Fatalf("expected record at ts=%d: %v", ts, err)
 	}
-	if err := f.store.rts.Put(key, []byte{0xFF, 0xEE, 0xDD}); err != nil {
+	if err := f.store.trees[cacheTreeRTS].Put(key, []byte{0xFF, 0xEE, 0xDD}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,6 +52,63 @@ func TestStrictScanFailsOnCorruptBlob(t *testing.T) {
 	}
 	if it.Err() == nil {
 		t.Fatal("strict scan over a corrupt blob reported no error")
+	}
+	aggFailsOnCorrupt(t, f, src.ID, sch.ID, 2)
+}
+
+// aggFailsOnCorrupt asserts both aggregate entry points surface a strict
+// store's corrupt record as an error, like the scan did.
+func aggFailsOnCorrupt(t *testing.T, f *fixture, source, schemaID int64, ntags int) {
+	t.Helper()
+	spec := AggSpec{T1: math.MinInt64 / 2, T2: math.MaxInt64 / 2, NTags: ntags}
+	if _, err := f.store.AggregateHistorical(source, spec); err == nil {
+		t.Fatal("strict AggregateHistorical over a corrupt blob reported no error")
+	}
+	if _, err := f.store.AggregateSlice(schemaID, spec); err == nil {
+		t.Fatal("strict AggregateSlice over a corrupt blob reported no error")
+	}
+}
+
+// aggMatchesLenientScan asserts a lenient store's aggregates fold exactly
+// the rows its lenient scans return: AggregateHistorical against the
+// source scan, AggregateSlice against the slice scan. Each read must
+// quarantine the same number of records (CorruptBlobsSkipped delta) as
+// the scan of the same shape.
+func aggMatchesLenientScan(t *testing.T, f *fixture, source, schemaID int64, ntags int) {
+	t.Helper()
+	spec := AggSpec{T1: math.MinInt64 / 2, T2: math.MaxInt64 / 2, NTags: ntags, ByID: true}
+	skipped := func() int64 { return f.store.Stats().CorruptBlobsSkipped }
+	for _, shape := range []string{"historical", "slice"} {
+		before := skipped()
+		var it Iterator
+		var err error
+		if shape == "historical" {
+			it, err = f.store.HistoricalScan(source, spec.T1, spec.T2, nil)
+		} else {
+			it, err = f.store.SliceScan(schemaID, spec.T1, spec.T2, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refFold(collect(t, it), spec)
+		scanSkipped := skipped() - before
+		if scanSkipped == 0 {
+			t.Fatalf("%s: lenient scan quarantined nothing", shape)
+		}
+		before = skipped()
+		var res *AggResult
+		if shape == "historical" {
+			res, err = f.store.AggregateHistorical(source, spec)
+		} else {
+			res, err = f.store.AggregateSlice(schemaID, spec)
+		}
+		if err != nil {
+			t.Fatalf("%s: lenient aggregate failed: %v", shape, err)
+		}
+		compareAgg(t, "lenient "+shape, res, want, spec)
+		if got := skipped() - before; got != scanSkipped {
+			t.Fatalf("%s: aggregate quarantined %d records, scan %d", shape, got, scanSkipped)
+		}
 	}
 }
 
@@ -80,10 +138,14 @@ func TestLenientScanQuarantinesCorruptBlob(t *testing.T) {
 	if n := f.store.Stats().CorruptBlobsSkipped; n != 1 {
 		t.Fatalf("CorruptBlobsSkipped = %d, want 1", n)
 	}
+	aggMatchesLenientScan(t, f, src.ID, sch.ID, 2)
 }
 
-func TestLenientScanQuarantinesCorruptMGBlob(t *testing.T) {
-	f := newFixture(t, Config{BatchSize: 8, LenientScan: true}, 2)
+// corruptMGFixture builds a two-member MG group with four windows and
+// truncates the record at window 2000.
+func corruptMGFixture(t *testing.T, lenient bool) (*fixture, *model.SchemaType, *model.DataSource) {
+	t.Helper()
+	f := newFixture(t, Config{BatchSize: 8, LenientScan: lenient}, 2)
 	sch := f.schema(t, "env", 1)
 	a := f.source(t, sch.ID, true, 1000)
 	b := f.source(t, sch.ID, true, 1000)
@@ -102,12 +164,22 @@ func TestLenientScanQuarantinesCorruptMGBlob(t *testing.T) {
 	}
 	// Corrupt the MG record at window 2000.
 	key := keyenc.SourceTime(a.Group, 2000)
-	if _, err := f.store.mg.Get(key); err != nil {
+	if _, err := f.store.trees[cacheTreeMG].Get(key); err != nil {
 		t.Fatalf("expected MG record: %v", err)
 	}
-	if err := f.store.mg.Put(key, []byte{0x03}); err != nil { // truncated MG header
+	if err := f.store.trees[cacheTreeMG].Put(key, []byte{0x03}); err != nil { // truncated MG header
 		t.Fatal(err)
 	}
+	return f, sch, a
+}
+
+func TestStrictAggregateFailsOnCorruptMGBlob(t *testing.T) {
+	f, sch, a := corruptMGFixture(t, false)
+	aggFailsOnCorrupt(t, f, a.ID, sch.ID, 1)
+}
+
+func TestLenientScanQuarantinesCorruptMGBlob(t *testing.T) {
+	f, sch, a := corruptMGFixture(t, true)
 	it, err := f.store.HistoricalScan(a.ID, 0, 10_000, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +191,7 @@ func TestLenientScanQuarantinesCorruptMGBlob(t *testing.T) {
 	if n := f.store.Stats().CorruptBlobsSkipped; n == 0 {
 		t.Fatal("CorruptBlobsSkipped not incremented for MG record")
 	}
+	aggMatchesLenientScan(t, f, a.ID, sch.ID, 1)
 }
 
 func TestVerifyBlobs(t *testing.T) {

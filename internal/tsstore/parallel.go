@@ -3,13 +3,15 @@ package tsstore
 import (
 	"context"
 	"math"
+	"sync"
 
 	"odh/internal/model"
 )
 
-// The parallel scan scheduler fans the independent parts of a scan —
+// The parallel scan scheduler fans the independent parts of a read —
 // disjoint sources, and ts-disjoint sub-ranges of one source's batch
-// walk — across a bounded worker pool. Each worker drains its part
+// walk — across one bounded worker pool (fanOut), shared by row scans
+// and aggregate folds. For a scan, each worker drains its part
 // iterator up to a per-part byte budget and delivers one result over a
 // capacity-1 channel, so an abandoned scan (e.g. a LIMIT that stops
 // early) never strands a blocked goroutine and never holds more than
@@ -31,11 +33,12 @@ type ScanOptions struct {
 	// NoCache bypasses the decoded-blob cache for this scan (reads and
 	// inserts); used to cross-check cached results and by verification.
 	NoCache bool
-	// Ctx, when non-nil, cancels the scan: serial iterators observe it
-	// before each blob load, pool workers observe it between drained
-	// points and between parts, and aggregate parts observe it between
-	// records. A canceled scan stops decoding and reports ctx.Err()
-	// through Iterator.Err (or the aggregate call's error).
+	// Ctx, when non-nil, cancels the scan: the blob-visit kernel
+	// observes it before every record, for row scans and aggregate folds
+	// alike; pool workers also observe it before starting a part, and
+	// scan workers every ctxCheckInterval drained points. A canceled
+	// scan stops decoding and reports ctx.Err() through Iterator.Err (or
+	// the aggregate call's error).
 	Ctx context.Context
 }
 
@@ -199,66 +202,84 @@ func (it *partIter) BlobsSkipped() int64 {
 	return it.res.blobsSkipped
 }
 
-// drainParts drains every part on the worker pool and returns one
-// order-preserving partIter per input part.
-func (s *Store) drainParts(ctx context.Context, parts []Iterator, workers int) []Iterator {
-	return s.drainPartsBounded(ctx, parts, workers, maxPartBufferBytes)
-}
-
-// drainPartsBounded is drainParts with an explicit per-part buffer
-// budget (separated for tests). Workers observe ctx before starting
-// their part and every ctxCheckInterval drained points, so an abandoned
-// or timed-out query stops decoding blobs instead of racing the pool to
-// completion.
-func (s *Store) drainPartsBounded(ctx context.Context, parts []Iterator, workers int, budget int64) []Iterator {
-	if workers > len(parts) {
-		workers = len(parts)
+// fanOut is the one worker pool behind parallel scans and aggregates: it
+// runs task(0..n-1) on at most workers goroutines at a time and returns a
+// WaitGroup that completes when every task has returned. Each dispatch is
+// counted once in Stats.ParallelScans/ParallelParts.
+func (s *Store) fanOut(n, workers int, task func(i int)) *sync.WaitGroup {
+	if workers > n {
+		workers = n
 	}
 	sem := make(chan struct{}, workers)
-	out := make([]Iterator, len(parts))
-	for i, p := range parts {
-		ch := make(chan partResult, 1)
-		out[i] = &partIter{ch: ch}
-		go func(p Iterator, ch chan<- partResult) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			var res partResult
-			if err := ctxErr(ctx); err != nil {
-				res.err = err
-				ch <- res
-				return
-			}
-			var buffered int64
-			var sinceCheck int
-			for buffered < budget {
-				pt, ok := p.Next()
-				if !ok {
-					break
-				}
-				res.points = append(res.points, pt)
-				buffered += pointBlobBytes(len(pt.Values))
-				if sinceCheck++; sinceCheck >= ctxCheckInterval {
-					sinceCheck = 0
-					if err := ctxErr(ctx); err != nil {
-						res.err = err
-						ch <- res
-						return
-					}
-				}
-			}
-			if buffered >= budget {
-				// Budget hit: hand the live iterator back; the consumer
-				// continues it serially after replaying the prefix.
-				res.rest = p
-			} else {
-				res.err = p.Err()
-				res.blobBytes = p.BlobBytes()
-				res.blobsSkipped = p.BlobsSkipped()
-			}
-			ch <- res
-		}(p, ch)
+			task(i)
+		}(i)
 	}
 	s.parallelScans.Add(1)
-	s.parallelParts.Add(int64(len(parts)))
+	s.parallelParts.Add(int64(n))
+	return &wg
+}
+
+// drainParts drains every part on the pool, each up to budget bytes of
+// decoded points, and returns one order-preserving partIter per input
+// part; with fewer than two parts or workers the parts are returned as
+// they are. Workers observe ctx before starting their part and every
+// ctxCheckInterval drained points, so an abandoned or timed-out query
+// stops decoding blobs instead of racing the pool to completion.
+// drainParts takes ownership of parts: a worker clears its slot, so a
+// fully drained part is garbage while later parts still wait for a worker.
+func (s *Store) drainParts(ctx context.Context, parts []Iterator, workers int, budget int64) []Iterator {
+	if workers <= 1 || len(parts) <= 1 {
+		return parts
+	}
+	out := make([]Iterator, len(parts))
+	chans := make([]chan partResult, len(parts))
+	for i := range parts {
+		chans[i] = make(chan partResult, 1)
+		out[i] = &partIter{ch: chans[i]}
+	}
+	s.fanOut(len(parts), workers, func(i int) {
+		p := parts[i]
+		parts[i] = nil
+		chans[i] <- drainOne(ctx, p, budget)
+	})
 	return out
+}
+
+// drainOne buffers one part's points up to the budget. A part that hits
+// the budget is handed back live; the consumer continues it serially
+// after replaying the prefix.
+func drainOne(ctx context.Context, p Iterator, budget int64) partResult {
+	var res partResult
+	if res.err = ctxErr(ctx); res.err != nil {
+		return res
+	}
+	var buffered int64
+	var sinceCheck int
+	for buffered < budget {
+		pt, ok := p.Next()
+		if !ok {
+			break
+		}
+		res.points = append(res.points, pt)
+		buffered += pointBlobBytes(len(pt.Values))
+		if sinceCheck++; sinceCheck >= ctxCheckInterval {
+			sinceCheck = 0
+			if res.err = ctxErr(ctx); res.err != nil {
+				return res
+			}
+		}
+	}
+	if buffered >= budget {
+		res.rest = p
+	} else {
+		res.err, res.blobBytes, res.blobsSkipped = p.Err(), p.BlobBytes(), p.BlobsSkipped()
+	}
+	return res
 }

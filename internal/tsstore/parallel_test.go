@@ -60,7 +60,7 @@ func TestDrainPartsBoundedHandoff(t *testing.T) {
 	wantBytes := newSliceIter(big).perPoint * int64(len(big))
 
 	// Budget covers ~10 points of the big part: it must be handed back.
-	parts := f.store.drainPartsBounded(nil, []Iterator{newSliceIter(big), newSliceIter(small)}, 2, 10*pointBlobBytes(2))
+	parts := f.store.drainParts(nil, []Iterator{newSliceIter(big), newSliceIter(small)}, 2, 10*pointBlobBytes(2))
 	gotBig := collect(t, parts[0])
 	gotSmall := collect(t, parts[1])
 	if !pointsEqual(gotBig, big) || !pointsEqual(gotSmall, small) {

@@ -55,7 +55,7 @@ func (s *Store) ReorganizeGroup(group int64, upTo int64) (ReorgResult, error) {
 	var reclaimedBlobBytes, reclaimedPoints int64
 	lo := keyenc.SourceTime(group, wm)
 	hi := keyenc.SourceTime(group, upTo)
-	err := s.mg.Scan(lo, hi, func(k, v []byte) bool {
+	err := s.trees[cacheTreeMG].Scan(lo, hi, func(k, v []byte) bool {
 		_, ts, err := keyenc.DecodeSourceTime(k)
 		if err != nil {
 			return true
@@ -107,7 +107,7 @@ func (s *Store) ReorganizeGroup(group int64, upTo int64) (ReorgResult, error) {
 
 	// Remove the converted MG records and advance the watermark.
 	for _, k := range keys {
-		err := s.mg.Delete(k)
+		err := s.trees[cacheTreeMG].Delete(k)
 		if _, ts, derr := keyenc.DecodeSourceTime(k); derr == nil {
 			s.invalidateBlob(cacheTreeMG, group, ts)
 		}
@@ -139,7 +139,7 @@ func (s *Store) writeHistoricalBatches(ds *model.DataSource, schema *model.Schem
 // returns the batch count and the blob bytes written.
 func (s *Store) writeBatchesOpts(ds *model.DataSource, schema *model.SchemaType, pts []model.Point, structure model.Structure, opts encodeOpts, batchSize int) (int, int64, error) {
 	ntags := len(schema.Tags)
-	tree := s.treeFor(structure)
+	treeID := treeFor(structure)
 	batches := 0
 	var blobBytes int64
 	flush := func(run []model.Point) error {
@@ -152,8 +152,8 @@ func (s *Store) writeBatchesOpts(ds *model.DataSource, schema *model.SchemaType,
 		} else {
 			blob = EncodeIRTS(run, ntags, opts)
 		}
-		err := tree.Put(keyenc.SourceTime(ds.ID, run[0].TS), blob)
-		s.invalidateBlob(s.treeID(tree), ds.ID, run[0].TS)
+		err := s.trees[treeID].Put(keyenc.SourceTime(ds.ID, run[0].TS), blob)
+		s.invalidateBlob(treeID, ds.ID, run[0].TS)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package tsstore
 
 import (
-	"odh/internal/btree"
 	"odh/internal/keyenc"
 	"odh/internal/model"
 )
@@ -29,8 +28,7 @@ func (s *Store) DropBefore(schemaID int64, cutoff int64) (DropResult, error) {
 			continue
 		}
 		for _, structure := range []model.Structure{model.RTS, model.IRTS} {
-			tree := s.treeFor(structure)
-			n, bytes, err := s.dropSourceRange(tree, src, cutoff)
+			n, bytes, err := s.dropSourceRange(treeFor(structure), src, cutoff)
 			if err != nil {
 				return res, err
 			}
@@ -54,7 +52,7 @@ func (s *Store) DropBefore(schemaID int64, cutoff int64) (DropResult, error) {
 		if effective <= 0 {
 			continue
 		}
-		n, bytes, err := s.dropSourceRange(s.mg, g, effective)
+		n, bytes, err := s.dropSourceRange(cacheTreeMG, g, effective)
 		if err != nil {
 			return res, err
 		}
@@ -78,7 +76,8 @@ func (s *Store) DropBefore(schemaID int64, cutoff int64) (DropResult, error) {
 // header — no payload decode; only legacy (pre-summary) blobs pay for a
 // full decode. Summary-only stubs qualify like any other blob: retention
 // is the tier lifecycle's final stage.
-func (s *Store) dropSourceRange(tree *btree.Tree, prefix int64, cutoff int64) (int, int64, error) {
+func (s *Store) dropSourceRange(treeID uint8, prefix int64, cutoff int64) (int, int64, error) {
+	tree := s.trees[treeID]
 	lo := keyenc.SourceTime(prefix, -1<<62)
 	hi := keyenc.SourceTime(prefix, cutoff)
 	var keys [][]byte
@@ -113,7 +112,6 @@ func (s *Store) dropSourceRange(tree *btree.Tree, prefix int64, cutoff int64) (i
 	if err != nil {
 		return 0, 0, err
 	}
-	treeID := s.treeID(tree)
 	deleted := 0
 	var deletedBytes int64
 	for i, k := range keys {

@@ -3,12 +3,8 @@ package tsstore
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"math"
 	"sort"
 
-	"odh/internal/btree"
-	"odh/internal/keyenc"
 	"odh/internal/model"
 )
 
@@ -193,282 +189,87 @@ func (it *mergeIter) BlobsSkipped() int64 {
 	return total
 }
 
-// batchIter decodes RTS/IRTS batch records of one source from a tree range
-// and yields the points inside [t1, t2) in timestamp order. Batches are
-// keyed by their first timestamp but may overlap (out-of-order ingest
-// splits a batch); the iterator merges overlapping batches by holding
-// points back until every batch that could precede them has been loaded.
-type batchIter struct {
-	store     *Store
-	cur       *btree.Cursor
-	hi        []byte
-	source    int64
-	t1, t2    int64
-	wantTags  []int
-	tagRanges []TagRange
-	skipped   int64
-	queue     []model.Point // pending points, sorted by ts
-	qi        int
-	nextBase  int64 // first timestamp of the batch under the cursor
-	done      bool  // no more batches in range
-	err       error
-	ctx       context.Context // nil = never canceled
-	cache     *blobCache      // nil = bypass
-	treeID    uint8
-	sig       string // cache variant: canonical wantTags signature
-	// vers is the cache version array snapshotted by the cursor's
-	// leaf-load hook — pinned no later than the moment the current cell's
-	// bytes were copied out of the tree, which is what makes the put-time
-	// version check sound (see blobCache.vers).
-	vers [cacheVerSlots]uint64
-	// BlobBytesRead accumulates decoded blob sizes; the executor reports
-	// it as the query's I/O cost, matching the paper's cost unit. Cache
-	// hits do not add to it — nothing was read — they count in the
-	// cache's BytesSaved instead.
-	BlobBytesRead int64
+// rowIter is the row emitter over the blob-visit kernel: it yields the
+// points of one part inside its range. RTS/IRTS batches are keyed by
+// their first timestamp but may overlap (out-of-order ingest splits a
+// batch), so batch rows are held back until every batch that could
+// precede them has been loaded and emitted in timestamp order. An MG
+// record's rows are emitted record by record in member-slot order, for
+// every member or only part.onlySource.
+type rowIter struct {
+	w       *blobWalker
+	mg      bool
+	members []int64 // MG: slot -> source id
+	queue   []model.Point
+	qi      int
 }
 
-// treeID maps a batch tree to its cache namespace.
-func (s *Store) treeID(tree *btree.Tree) uint8 {
-	switch tree {
-	case s.rts:
-		return cacheTreeRTS
-	case s.irts:
-		return cacheTreeIRTS
-	default:
-		return cacheTreeMG
+func (s *Store) newRowIter(ctx context.Context, p blobPart, cache *blobCache, wantTags []int, tagRanges []TagRange) *rowIter {
+	it := &rowIter{w: s.newBlobWalker(ctx, p, cache, wantTags, tagRanges)}
+	if it.mg = p.tree == cacheTreeMG; it.mg {
+		it.members = s.cat.GroupMembers(p.id)
 	}
-}
-
-// newBatchIter scans tree for source's batches overlapping [t1, t2).
-// lookback widens the scan start so a batch beginning before t1 but
-// spilling into the window is found. A non-nil ctx is observed before
-// every blob load, so canceling it stops the walk mid-scan.
-func (s *Store) newBatchIter(ctx context.Context, tree *btree.Tree, cache *blobCache, source, t1, t2, lookback int64, wantTags []int, tagRanges []TagRange) *batchIter {
-	loTS := t1
-	if lookback > 0 {
-		if loTS > math.MinInt64+lookback+1 {
-			loTS = t1 - lookback - 1
-		} else {
-			loTS = math.MinInt64
-		}
-	}
-	it := &batchIter{
-		store:     s,
-		source:    source,
-		t1:        t1,
-		t2:        t2,
-		wantTags:  wantTags,
-		tagRanges: tagRanges,
-		hi:        keyenc.SourceTime(source, t2),
-		ctx:       ctx,
-		cache:     cache,
-		treeID:    s.treeID(tree),
-	}
-	seekKey := keyenc.SourceTime(source, loTS)
-	if cache != nil {
-		it.sig = tagsSig(wantTags)
-		it.cur = tree.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&it.vers) })
-	} else {
-		it.cur = tree.Seek(seekKey)
-	}
-	it.peek()
 	return it
-}
-
-// peek records the base timestamp of the batch under the cursor, or marks
-// the iterator done when the cursor left the (source, [lo, t2)) range.
-func (it *batchIter) peek() {
-	if !it.cur.Valid() {
-		it.err = it.cur.Err()
-		it.done = true
-		return
-	}
-	key := it.cur.Key()
-	if keyCompare(key, it.hi) >= 0 {
-		it.done = true
-		return
-	}
-	src, baseTS, err := keyenc.DecodeSourceTime(key)
-	if err != nil {
-		it.err = err
-		it.done = true
-		return
-	}
-	if src != it.source {
-		it.done = true
-		return
-	}
-	it.nextBase = baseTS
-}
-
-// loadOne decodes the batch under the cursor into the queue and advances.
-// In lenient mode an unreadable or undecodable record is quarantined
-// (skipped and counted) instead of failing the scan; a broken tree walk
-// still aborts either way, since the cursor cannot advance past it.
-func (it *batchIter) loadOne() {
-	if err := ctxErr(it.ctx); err != nil {
-		it.err = err
-		it.done = true
-		return
-	}
-	baseTS := it.nextBase
-	bk := blobKey{tree: it.treeID, source: it.source, ts: baseTS}
-	if it.cache != nil {
-		if e, ok := it.cache.get(bk, it.sig); ok {
-			it.cur.Next()
-			it.peek()
-			// The skip decision replays against the zone maps captured at
-			// decode time, so hits behave exactly like the raw-blob path.
-			if !e.overlaps(it.tagRanges) {
-				it.skipped++
-				return
-			}
-			it.cache.noteSaved(e.blobLen)
-			it.enqueue(e.batch)
-			return
-		}
-	}
-	// The version guarding the cache insert was snapshotted when the
-	// cursor copied this cell's leaf (the load hook), so it predates the
-	// bytes Value() returns; read it before Next() can reload it.
-	var ver uint64
-	if it.cache != nil {
-		ver = it.vers[bk.slot()]
-	}
-	blob, err := it.cur.Value()
-	if err != nil {
-		if it.store.lenient() {
-			it.store.noteCorruptBlob()
-			it.cur.Next()
-			it.peek()
-			return
-		}
-		it.err = err
-		it.done = true
-		return
-	}
-	it.cur.Next()
-	it.peek()
-	if !BlobOverlaps(blob, it.tagRanges) {
-		it.skipped++
-		return
-	}
-	if IsStubBlob(blob) {
-		sum, ok := parseBlobSummary(blob, baseTS)
-		if !ok {
-			// A stub without a readable summary is corruption, not policy.
-			if it.store.lenient() {
-				it.store.noteCorruptBlob()
-				return
-			}
-			it.err = fmt.Errorf("tsstore: corrupt stub blob source=%d ts=%d", it.source, baseTS)
-			it.done = true
-			return
-		}
-		if sum.rows == 0 || sum.lastTS < it.t1 || sum.firstTS >= it.t2 {
-			return // every stubbed row falls outside the window: nothing lost
-		}
-		// Rows inside the window were dropped by tier policy: degrade
-		// loudly rather than silently return fewer rows. Lenient mode
-		// never swallows this — a stub is not a corrupt record.
-		it.err = &StubbedRangeError{Tree: treeName(it.treeID), Source: it.source, TS: baseTS, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-		it.done = true
-		return
-	}
-	batch, err := DecodeBlob(blob, baseTS, it.wantTags)
-	if err != nil {
-		if it.store.lenient() {
-			it.store.noteCorruptBlob()
-			return
-		}
-		it.err = err
-		it.done = true
-		return
-	}
-	it.BlobBytesRead += int64(len(blob))
-	if it.cache != nil {
-		zones, hasZones := blobZoneMaps(blob)
-		it.cache.put(bk, it.sig, ver, batch, zones, hasZones, int64(len(blob)), cacheSummary(blob, baseTS, batch), nil)
-	}
-	it.enqueue(batch)
 }
 
 // enqueue appends the batch's in-range rows to the pending queue. When a
 // cache is attached the batch is (or may become) shared across readers,
 // so row values are copied on emission — callers own the Points an
 // Iterator yields and may mutate them.
-func (it *batchIter) enqueue(batch *DecodedBatch) {
+func (it *rowIter) enqueue(batch *DecodedBatch) {
 	// Compact the emitted prefix before appending.
 	if it.qi > 0 {
 		it.queue = append(it.queue[:0], it.queue[it.qi:]...)
 		it.qi = 0
 	}
-	shared := it.cache != nil
+	part, shared := &it.w.part, it.w.cache != nil
 	before := len(it.queue)
 	for i, ts := range batch.Timestamps {
-		if ts >= it.t1 && ts < it.t2 {
-			vals := batch.Rows[i]
-			if shared {
-				vals = append([]float64(nil), vals...)
-			}
-			it.queue = append(it.queue, model.Point{Source: it.source, TS: ts, Values: vals})
+		src, ok := part.rowOwner(batch, i, it.members)
+		if !ok {
+			continue
 		}
+		vals := batch.Rows[i]
+		if shared {
+			vals = append([]float64(nil), vals...)
+		}
+		it.queue = append(it.queue, model.Point{Source: src, TS: ts, Values: vals})
 	}
-	// Batches rarely overlap; only re-sort when they do.
+	// Batches rarely overlap; only re-sort when they do. MG records never
+	// get here with rows pending: their queue drains before the next load.
 	if before > 0 && len(it.queue) > before && it.queue[before].TS < it.queue[before-1].TS {
 		sort.SliceStable(it.queue, func(a, b int) bool { return it.queue[a].TS < it.queue[b].TS })
 	}
 }
 
-func (it *batchIter) Next() (model.Point, bool) {
-	for {
-		if it.err != nil {
-			return model.Point{}, false
-		}
+func (it *rowIter) Next() (model.Point, bool) {
+	w := it.w
+	for w.err == nil {
 		if it.qi < len(it.queue) {
-			// Safe to emit only when no unloaded batch could still start
-			// before this point.
-			if it.done || it.queue[it.qi].TS < it.nextBase {
+			// A batch row is safe to emit only when no unloaded batch
+			// could still start before it.
+			if it.mg || w.done || it.queue[it.qi].TS < w.nextTS {
 				p := it.queue[it.qi]
 				it.qi++
 				return p, true
 			}
-		} else if it.done {
-			return model.Point{}, false
+		} else if w.done {
+			break
 		}
-		it.loadOne()
+		if v, ok := w.next(); ok {
+			if batch, ok := w.batch(v); ok {
+				it.enqueue(batch)
+			}
+		}
 	}
+	return model.Point{}, false
 }
 
-func (it *batchIter) Err() error          { return it.err }
-func (it *batchIter) BlobBytes() int64    { return it.BlobBytesRead }
-func (it *batchIter) BlobsSkipped() int64 { return it.skipped }
+func (it *rowIter) Err() error          { return it.w.err }
+func (it *rowIter) BlobBytes() int64    { return it.w.bytesRead }
+func (it *rowIter) BlobsSkipped() int64 { return it.w.skipped }
 
 func keyCompare(a, b []byte) int { return bytes.Compare(a, b) }
-
-// mgIter decodes MG records of one group in [t1, t2), yielding points for
-// every reported member, or only onlySource when it is non-zero.
-type mgIter struct {
-	store         *Store
-	cur           *btree.Cursor
-	hi            []byte
-	group         int64
-	members       []int64
-	onlySource    int64
-	wantTags      []int
-	tagRanges     []TagRange
-	skipped       int64
-	t1, t2        int64
-	queue         []model.Point
-	qi            int
-	err           error
-	ctx           context.Context // nil = never canceled
-	cache         *blobCache      // nil = bypass
-	sig           string
-	vers          [cacheVerSlots]uint64 // see batchIter.vers
-	BlobBytesRead int64
-}
 
 // groupWindow returns the bucketing window of an MG group (its first
 // member's sampling interval).
@@ -483,163 +284,6 @@ func (s *Store) groupWindow(group int64) int64 {
 	}
 	return ds.IntervalMs
 }
-
-// newMGIter scans group records whose window overlaps [t1, t2); the scan
-// starts one window early because a record's members may carry offsets up
-// to the window size. Emitted points are filtered to the exact range.
-func (s *Store) newMGIter(ctx context.Context, group int64, cache *blobCache, t1, t2 int64, onlySource int64, wantTags []int, tagRanges []TagRange) *mgIter {
-	window := s.groupWindow(group)
-	lo := t1
-	if lo > math.MinInt64+window {
-		lo = t1 - window
-	}
-	it := &mgIter{
-		store:      s,
-		group:      group,
-		members:    s.cat.GroupMembers(group),
-		onlySource: onlySource,
-		wantTags:   wantTags,
-		tagRanges:  tagRanges,
-		t1:         t1,
-		t2:         t2,
-		hi:         keyenc.SourceTime(group, t2),
-		ctx:        ctx,
-		cache:      cache,
-	}
-	seekKey := keyenc.SourceTime(group, lo)
-	if cache != nil {
-		it.sig = tagsSig(wantTags)
-		it.cur = s.mg.SeekWithLoadHook(seekKey, func() { cache.snapshotAll(&it.vers) })
-	} else {
-		it.cur = s.mg.Seek(seekKey)
-	}
-	return it
-}
-
-func (it *mgIter) Next() (model.Point, bool) {
-	for {
-		if it.qi < len(it.queue) {
-			p := it.queue[it.qi]
-			it.qi++
-			return p, true
-		}
-		if it.err != nil || !it.cur.Valid() {
-			if it.err == nil {
-				it.err = it.cur.Err()
-			}
-			return model.Point{}, false
-		}
-		if err := ctxErr(it.ctx); err != nil {
-			it.err = err
-			return model.Point{}, false
-		}
-		key := it.cur.Key()
-		if keyCompare(key, it.hi) >= 0 {
-			return model.Point{}, false
-		}
-		grp, ts, err := keyenc.DecodeSourceTime(key)
-		if err != nil || grp != it.group {
-			return model.Point{}, false
-		}
-		bk := blobKey{tree: cacheTreeMG, source: it.group, ts: ts}
-		if it.cache != nil {
-			if e, ok := it.cache.get(bk, it.sig); ok {
-				it.cur.Next()
-				if !e.overlaps(it.tagRanges) {
-					it.skipped++
-					continue
-				}
-				it.cache.noteSaved(e.blobLen)
-				it.fillQueue(e.batch)
-				continue
-			}
-		}
-		// Read before Next() can reload the snapshot; see batchIter.
-		var ver uint64
-		if it.cache != nil {
-			ver = it.vers[bk.slot()]
-		}
-		blob, err := it.cur.Value()
-		if err != nil {
-			if it.store.lenient() {
-				it.store.noteCorruptBlob()
-				it.cur.Next()
-				continue
-			}
-			it.err = err
-			return model.Point{}, false
-		}
-		it.cur.Next()
-		if !BlobOverlaps(blob, it.tagRanges) {
-			it.skipped++
-			continue
-		}
-		if IsStubBlob(blob) {
-			// MG records never tier today, but the read path stays honest
-			// if one ever does: same contract as batchIter.
-			sum, ok := parseBlobSummary(blob, ts)
-			if !ok {
-				if it.store.lenient() {
-					it.store.noteCorruptBlob()
-					continue
-				}
-				it.err = fmt.Errorf("tsstore: corrupt stub blob group=%d ts=%d", it.group, ts)
-				return model.Point{}, false
-			}
-			if sum.rows == 0 || sum.lastTS < it.t1 || sum.firstTS >= it.t2 {
-				continue
-			}
-			it.err = &StubbedRangeError{Tree: "ts.mg", Source: it.group, TS: ts, FirstTS: sum.firstTS, LastTS: sum.lastTS}
-			return model.Point{}, false
-		}
-		batch, err := DecodeBlob(blob, ts, it.wantTags)
-		if err != nil {
-			if it.store.lenient() {
-				it.store.noteCorruptBlob()
-				continue
-			}
-			it.err = err
-			return model.Point{}, false
-		}
-		it.BlobBytesRead += int64(len(blob))
-		if it.cache != nil {
-			zones, hasZones := blobZoneMaps(blob)
-			it.cache.put(bk, it.sig, ver, batch, zones, hasZones, int64(len(blob)), cacheSummary(blob, ts, batch), nil)
-		}
-		it.fillQueue(batch)
-	}
-}
-
-// fillQueue replaces the pending queue with the record's in-range member
-// points. When a cache is attached the batch is (or may become) shared,
-// so row values are copied on emission — callers own emitted Points.
-func (it *mgIter) fillQueue(batch *DecodedBatch) {
-	it.queue = it.queue[:0]
-	it.qi = 0
-	shared := it.cache != nil
-	for i, slot := range batch.Slots {
-		if slot >= len(it.members) {
-			continue
-		}
-		src := it.members[slot]
-		if it.onlySource != 0 && src != it.onlySource {
-			continue
-		}
-		pts := batch.Timestamps[i]
-		if pts < it.t1 || pts >= it.t2 {
-			continue
-		}
-		vals := batch.Rows[i]
-		if shared {
-			vals = append([]float64(nil), vals...)
-		}
-		it.queue = append(it.queue, model.Point{Source: src, TS: pts, Values: vals})
-	}
-}
-
-func (it *mgIter) Err() error          { return it.err }
-func (it *mgIter) BlobBytes() int64    { return it.BlobBytesRead }
-func (it *mgIter) BlobsSkipped() int64 { return it.skipped }
 
 // snapshotSourceBuffer copies the buffered points of one source that fall
 // in [t1, t2) — the dirty-read path ("the query component adopts a 'dirty
@@ -714,52 +358,43 @@ func (s *Store) HistoricalScan(source, t1, t2 int64, wantTags []int, tagRanges .
 // the sub-ranges partition the window by timestamp and the merge is
 // stable, the output is identical to the serial scan.
 func (s *Store) HistoricalScanOpts(source, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	ds, ok := s.cat.Source(source)
-	if !ok {
-		return nil, fmt.Errorf("tsstore: unknown data source %d", source)
-	}
-	cache := s.scanCache(opts)
 	workers := clampWorkers(opts.Workers)
-	stats := s.cat.Stats(source)
-	ranges := splitScanRange(t1, t2, stats, workers)
-	var parts []Iterator
-	if ds.IngestStructure() == model.MG {
-		// Reorganized history lives per-source in RTS/IRTS; the remainder
-		// is still in the group's MG records and buffer. Every point lives
-		// in exactly one structure, so scanning all three over the full
-		// range is exact; the watermark only gates whether the per-source
-		// tree can contain anything.
-		if stats.BatchCount > 0 {
-			tree := s.treeFor(ds.HistoricalStructure())
-			for _, r := range ranges {
-				parts = append(parts, s.newBatchIter(opts.Ctx, tree, cache, source, r.t1, r.t2, stats.MaxSpanMs, wantTags, tagRanges))
-			}
-		}
-		for _, r := range ranges {
-			parts = append(parts, s.newMGIter(opts.Ctx, ds.Group, cache, r.t1, r.t2, source, wantTags, tagRanges))
-		}
-		if buf := s.snapshotGroupBuffer(ds.Group, t1, t2, source); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
-		}
-	} else {
-		tree := s.treeFor(ds.IngestStructure())
-		for _, r := range ranges {
-			parts = append(parts, s.newBatchIter(opts.Ctx, tree, cache, source, r.t1, r.t2, stats.MaxSpanMs, wantTags, tagRanges))
-		}
-		if buf := s.snapshotSourceBuffer(source, t1, t2); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
-		}
+	parts, err := s.planSource(source, t1, t2, workers)
+	if err != nil {
+		return nil, err
 	}
-	if workers > 1 && len(parts) > 1 {
-		parts = s.drainParts(opts.Ctx, parts, workers)
-	}
-	if len(parts) == 0 {
+	its := s.drainParts(opts.Ctx, s.partIters(parts, opts, wantTags, tagRanges), workers, maxPartBufferBytes)
+	switch len(its) {
+	case 0:
 		return emptyIter{}, nil
+	case 1:
+		return its[0], nil
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
+	return newMergeIter(its), nil
+}
+
+// partIters opens every part as its serial iterator, in plan order. A
+// buffer part snapshots the ingest buffer now — after the tree parts
+// before it have seeked — and is dropped when empty.
+func (s *Store) partIters(parts []blobPart, opts ScanOptions, wantTags []int, tagRanges []TagRange) []Iterator {
+	cache := s.scanCache(opts)
+	its := make([]Iterator, 0, len(parts))
+	for _, p := range parts {
+		if !p.buffer {
+			its = append(its, s.newRowIter(opts.Ctx, p, cache, wantTags, tagRanges))
+		} else if buf := s.bufferPoints(p); len(buf) > 0 {
+			its = append(its, newSliceIter(buf))
+		}
 	}
-	return newMergeIter(parts), nil
+	return its
+}
+
+// concatOf concatenates parts in order.
+func concatOf(its []Iterator) Iterator {
+	if len(its) == 0 {
+		return emptyIter{}
+	}
+	return &concatIter{iters: its}
 }
 
 // SliceScan returns points of every source of a schema in [t1, t2) —
@@ -776,51 +411,8 @@ func (s *Store) SliceScan(schemaID int64, t1, t2 int64, wantTags []int, tagRange
 // pool and concatenated in their original order, so the output matches
 // the serial scan exactly.
 func (s *Store) SliceScanOpts(schemaID int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	cache := s.scanCache(opts)
-	workers := clampWorkers(opts.Workers)
-	var parts []Iterator
-	// MG groups first: each group covers groupSize sources per record.
-	for _, g := range s.cat.GroupsBySchema(schemaID) {
-		// Reorganized stripes and duplicate-sample overflow points live in
-		// the members' per-source trees.
-		for _, src := range s.cat.GroupMembers(g) {
-			ds, ok := s.cat.Source(src)
-			if !ok {
-				continue
-			}
-			stats := s.cat.Stats(src)
-			if stats.BatchCount == 0 {
-				continue
-			}
-			parts = append(parts, s.newBatchIter(opts.Ctx, s.treeFor(ds.HistoricalStructure()), cache, src, t1, t2, stats.MaxSpanMs, wantTags, tagRanges))
-		}
-		parts = append(parts, s.newMGIter(opts.Ctx, g, cache, t1, t2, 0, wantTags, tagRanges))
-		if buf := s.snapshotGroupBuffer(g, t1, t2, 0); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
-		}
-	}
-	// RTS/IRTS sources: per-source seeks.
-	for _, src := range s.cat.SourcesBySchema(schemaID) {
-		ds, ok := s.cat.Source(src)
-		if !ok || ds.IngestStructure() == model.MG {
-			continue
-		}
-		stats := s.cat.Stats(src)
-		if stats.PointCount > 0 && (stats.LastTS < t1 || stats.FirstTS >= t2) && s.bufferEmpty(src) {
-			continue // partition elimination: source has no data in range
-		}
-		parts = append(parts, s.newBatchIter(opts.Ctx, s.treeFor(ds.IngestStructure()), cache, src, t1, t2, stats.MaxSpanMs, wantTags, tagRanges))
-		if buf := s.snapshotSourceBuffer(src, t1, t2); len(buf) > 0 {
-			parts = append(parts, newSliceIter(buf))
-		}
-	}
-	if workers > 1 && len(parts) > 1 {
-		parts = s.drainParts(opts.Ctx, parts, workers)
-	}
-	if len(parts) == 0 {
-		return emptyIter{}, nil
-	}
-	return &concatIter{iters: parts}, nil
+	its := s.partIters(s.planSlice(schemaID, t1, t2), opts, wantTags, tagRanges)
+	return concatOf(s.drainParts(opts.Ctx, its, clampWorkers(opts.Workers), maxPartBufferBytes)), nil
 }
 
 // MultiHistoricalScan concatenates historical scans for an explicit list
@@ -833,8 +425,7 @@ func (s *Store) MultiHistoricalScan(sources []int64, t1, t2 int64, wantTags []in
 // Workers > 1 each source's (serial) historical scan becomes one part on
 // the worker pool; parts are concatenated in list order.
 func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags []int, opts ScanOptions, tagRanges ...TagRange) (Iterator, error) {
-	workers := clampWorkers(opts.Workers)
-	parts := make([]Iterator, 0, len(sources))
+	its := make([]Iterator, 0, len(sources))
 	for _, src := range sources {
 		// Each part stays serial inside; the fan-out is across sources.
 		it, err := s.HistoricalScanOpts(src, t1, t2, wantTags, ScanOptions{NoCache: opts.NoCache, Ctx: opts.Ctx}, tagRanges...)
@@ -842,15 +433,9 @@ func (s *Store) MultiHistoricalScanOpts(sources []int64, t1, t2 int64, wantTags 
 			// Unknown ids in the IN list simply contribute no rows.
 			continue
 		}
-		parts = append(parts, it)
+		its = append(its, it)
 	}
-	if workers > 1 && len(parts) > 1 {
-		parts = s.drainParts(opts.Ctx, parts, workers)
-	}
-	if len(parts) == 0 {
-		return emptyIter{}, nil
-	}
-	return &concatIter{iters: parts}, nil
+	return concatOf(s.drainParts(opts.Ctx, its, clampWorkers(opts.Workers), maxPartBufferBytes)), nil
 }
 
 // bufferEmpty reports whether a source has no buffered points.
@@ -860,15 +445,4 @@ func (s *Store) bufferEmpty(source int64) bool {
 	defer sh.mu.RUnlock()
 	buf, ok := sh.buffers[source]
 	return !ok || len(buf.points) == 0
-}
-
-func (s *Store) treeFor(st model.Structure) *btree.Tree {
-	switch st {
-	case model.RTS:
-		return s.rts
-	case model.IRTS:
-		return s.irts
-	default:
-		return s.mg
-	}
 }

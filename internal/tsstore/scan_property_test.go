@@ -10,7 +10,7 @@ import (
 	"odh/internal/model"
 )
 
-// Property tests for the scan pipeline: mergeIter, concatIter, batchIter,
+// Property tests for the scan pipeline: mergeIter, concatIter, the kernel row emitter,
 // the parallel scheduler, and the blob-bytes accounting over generated
 // inputs. The invariants are ordering, no-dup, no-loss, and that every
 // configuration — serial, split, parallel, cached — yields identical

@@ -163,8 +163,8 @@ type Store struct {
 	cfg Config
 	cat *catalog.Catalog
 
-	rts, irts, mg *btree.Tree
-	watermarks    *btree.Tree // group id -> reorg watermark ts
+	trees      [cacheTreeMG + 1]*btree.Tree // batch trees by cache tree id
+	watermarks *btree.Tree                  // group id -> reorg watermark ts
 
 	shards    []*shard
 	shardMask uint32
@@ -286,14 +286,10 @@ func Open(store *pagestore.Store, cat *catalog.Catalog, cfg Config) (*Store, err
 		}
 	}
 	var err error
-	if s.rts, err = btree.Open(store, "ts.rts"); err != nil {
-		return nil, err
-	}
-	if s.irts, err = btree.Open(store, "ts.irts"); err != nil {
-		return nil, err
-	}
-	if s.mg, err = btree.Open(store, "ts.mg"); err != nil {
-		return nil, err
+	for id := cacheTreeRTS; id <= cacheTreeMG; id++ {
+		if s.trees[id], err = btree.Open(store, treeNames[id]); err != nil {
+			return nil, err
+		}
 	}
 	if s.watermarks, err = btree.Open(store, "ts.wm"); err != nil {
 		return nil, err
@@ -681,18 +677,15 @@ func (s *Store) flushSourceLocked(sh *shard, buf *sourceBuffer) error {
 	ntags := len(buf.schema.Tags)
 	opts := s.encodeOptsFor(buf.schema)
 	var blob []byte
-	var tree *btree.Tree
-	switch buf.ds.IngestStructure() {
-	case model.RTS:
+	tree := treeFor(buf.ds.IngestStructure())
+	if tree == cacheTreeRTS {
 		blob = EncodeRTS(pts, ntags, buf.ds.IntervalMs, opts)
-		tree = s.rts
-	default:
+	} else {
 		blob = EncodeIRTS(pts, ntags, opts)
-		tree = s.irts
 	}
 	key := keyenc.SourceTime(buf.ds.ID, pts[0].TS)
-	err := tree.Put(key, blob)
-	s.invalidateBlob(s.treeID(tree), buf.ds.ID, pts[0].TS)
+	err := s.trees[tree].Put(key, blob)
+	s.invalidateBlob(tree, buf.ds.ID, pts[0].TS)
 	if err != nil {
 		return err
 	}
@@ -724,7 +717,7 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 	}
 	key := keyenc.SourceTime(gb.group, ts)
 	var oldBytes, oldPoints int64
-	if existing, err := s.mg.Get(key); err == nil {
+	if existing, err := s.trees[cacheTreeMG].Get(key); err == nil {
 		if batch, derr := DecodeBlob(existing, ts, nil); derr == nil {
 			for i, slot := range batch.Slots {
 				if slot >= len(row.present) {
@@ -769,7 +762,7 @@ func (s *Store) flushMGRowLocked(sh *shard, gb *groupBuffer, ts int64) error {
 		}
 	}
 	blob := EncodeMG(row.present, row.values, offsets, len(gb.schema.Tags), s.encodeOptsFor(gb.schema))
-	err := s.mg.Put(key, blob)
+	err := s.trees[cacheTreeMG].Put(key, blob)
 	// An MG row merge overwrites the record in place during ordinary
 	// ingest, not just on maintenance — any cached decode is now stale.
 	s.invalidateBlob(cacheTreeMG, gb.group, ts)
@@ -956,19 +949,16 @@ func (r BlobRef) String() string {
 // tree-level checks live in pagestore.VerifyPages and btree.Check). It
 // keeps going past corrupt records; only a broken tree walk aborts.
 func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
-	trees := []struct {
-		name string
-		t    *btree.Tree
-	}{{"ts.rts", s.rts}, {"ts.irts", s.irts}, {"ts.mg", s.mg}}
-	for _, tr := range trees {
-		cur := tr.t.First()
+	for id := cacheTreeRTS; id <= cacheTreeMG; id++ {
+		name := treeNames[id]
+		cur := s.trees[id].First()
 		for cur.Valid() {
 			src, ts, kerr := keyenc.DecodeSourceTime(cur.Key())
 			checked++
 			blob, verr := cur.Value()
 			switch {
 			case kerr != nil || verr != nil:
-				corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
+				corrupt = append(corrupt, BlobRef{Tree: name, Source: src, TS: ts})
 			case IsStubBlob(blob):
 				// A stub's remaining contract is its summary header: the
 				// payload was dropped by tier policy, so a row decode is
@@ -982,20 +972,20 @@ func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
 					_, subOK = parseBlobSubSummaries(blob, ts)
 				}
 				if !sumOK || !zonesOK || !subOK {
-					corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
+					corrupt = append(corrupt, BlobRef{Tree: name, Source: src, TS: ts})
 				}
 			default:
 				batch, derr := DecodeBlob(blob, ts, nil)
 				switch {
 				case derr != nil:
-					corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
+					corrupt = append(corrupt, BlobRef{Tree: name, Source: src, TS: ts})
 				default:
 					// A summary that disagrees with its own columns would
 					// make pushdown answers drift from decode answers —
 					// flag it even though the row data itself is readable.
 					sum, sumOK := parseBlobSummary(blob, ts)
 					if sumOK && !summaryMatches(sum, batch) {
-						corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
+						corrupt = append(corrupt, BlobRef{Tree: name, Source: src, TS: ts})
 						break
 					}
 					// Same contract one level down: a v3 sub-bucket block
@@ -1004,7 +994,7 @@ func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
 					if blob[0]&flagSubBuckets != 0 {
 						sub, ok := parseBlobSubSummaries(blob, ts)
 						if !ok || !subSummariesMatch(sub, batch, len(sub.buckets[0].nonNull)) {
-							corrupt = append(corrupt, BlobRef{Tree: tr.name, Source: src, TS: ts})
+							corrupt = append(corrupt, BlobRef{Tree: name, Source: src, TS: ts})
 						}
 					}
 				}
@@ -1021,12 +1011,16 @@ func (s *Store) VerifyBlobs() (checked int, corrupt []BlobRef, err error) {
 // TreeSizes reports entry counts of the three batch trees (for tests and
 // the storage-cost experiment).
 func (s *Store) TreeSizes() (rts, irts, mg uint64) {
-	return s.rts.Count(), s.irts.Count(), s.mg.Count()
+	return s.trees[cacheTreeRTS].Count(), s.trees[cacheTreeIRTS].Count(), s.trees[cacheTreeMG].Count()
 }
 
 // BlobBytesTotal reports total persisted ValueBlob bytes across structures.
 func (s *Store) BlobBytesTotal() uint64 {
-	return s.rts.ValueBytes() + s.irts.ValueBytes() + s.mg.ValueBytes()
+	var n uint64
+	for _, t := range s.trees[cacheTreeRTS:] {
+		n += t.ValueBytes()
+	}
+	return n
 }
 
 // --- WAL point codec ---

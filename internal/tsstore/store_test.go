@@ -607,11 +607,11 @@ func TestBlobBytesReadAccounting(t *testing.T) {
 	}
 	it, _ := f.store.HistoricalScan(ds.ID, 0, math.MaxInt64, nil)
 	collect(t, it)
-	bi, ok := it.(*batchIter)
+	ri, ok := it.(*rowIter)
 	if !ok {
-		t.Fatalf("expected single batchIter, got %T", it)
+		t.Fatalf("expected a single kernel row emitter, got %T", it)
 	}
-	if bi.BlobBytesRead != st.BlobBytes {
-		t.Fatalf("BlobBytesRead %d != stats %d", bi.BlobBytesRead, st.BlobBytes)
+	if ri.BlobBytes() != st.BlobBytes {
+		t.Fatalf("BlobBytes %d != stats %d", ri.BlobBytes(), st.BlobBytes)
 	}
 }

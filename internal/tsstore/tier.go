@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"odh/internal/btree"
 	"odh/internal/keyenc"
 	"odh/internal/model"
 )
@@ -96,18 +95,6 @@ func (e *StubbedRangeError) Error() string {
 // Unwrap ties the error to ErrStubbedBlob for errors.Is.
 func (e *StubbedRangeError) Unwrap() error { return ErrStubbedBlob }
 
-// treeName names a cache tree id like BlobRef.Tree.
-func treeName(id uint8) string {
-	switch id {
-	case cacheTreeRTS:
-		return "ts.rts"
-	case cacheTreeIRTS:
-		return "ts.irts"
-	default:
-		return "ts.mg"
-	}
-}
-
 // TierSchema runs one lifecycle pass over every source of a schema: first
 // the cold pass (coalesce + re-encode records older than the cold cutoff),
 // then the stub pass (truncate records older than the stub cutoff), so a
@@ -131,7 +118,7 @@ func (s *Store) TierSchema(schemaID int64, pol TierPolicy, now int64) (TierResul
 			continue
 		}
 		for _, structure := range []model.Structure{model.RTS, model.IRTS} {
-			tree := s.treeFor(structure)
+			tree := treeFor(structure)
 			if pol.ColdAfterMs > 0 {
 				// Never coalesce across the stub cutoff: a cold blob
 				// straddling it would keep its rows forever (stubbing skips
@@ -162,7 +149,7 @@ func (s *Store) TierSchema(schemaID int64, pol TierPolicy, now int64) (TierResul
 // granularity, re-encode at maximum effort. Values round-trip bit-exactly
 // — the inputs are the already-round-tripped floats a scan of the hot
 // record returned, and the cold codecs are verified lossless.
-func (s *Store) coldCompactSource(tree *btree.Tree, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff, splitAt int64, batchPoints int, res *TierResult) error {
+func (s *Store) coldCompactSource(treeID uint8, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff, splitAt int64, batchPoints int, res *TierResult) error {
 	lo := keyenc.SourceTime(ds.ID, -1<<62)
 	// A record keyed at or past the cutoff starts there, so its last
 	// timestamp cannot be older; the scan stops at the cutoff key.
@@ -174,6 +161,7 @@ func (s *Store) coldCompactSource(tree *btree.Tree, structure model.Structure, d
 	}
 	var recs []rec
 	survivors := make(map[int64]bool)
+	tree := s.trees[treeID]
 	err := tree.Scan(lo, hi, func(k, v []byte) bool {
 		_, baseTS, err := keyenc.DecodeSourceTime(k)
 		if err != nil {
@@ -253,7 +241,6 @@ func (s *Store) coldCompactSource(tree *btree.Tree, structure model.Structure, d
 	opts := s.encodeOptsFor(schema)
 	opts.cold = true
 	opts.legacy = false
-	treeID := s.treeID(tree)
 	for _, r := range recs {
 		err := tree.Delete(r.key)
 		if _, ts, derr := keyenc.DecodeSourceTime(r.key); derr == nil {
@@ -293,7 +280,7 @@ func (s *Store) coldCompactSource(tree *btree.Tree, structure model.Structure, d
 // pre-summary blobs are first re-encoded losslessly into the summary
 // format (from the decode's round-tripped values, so the summary matches
 // what scans were already serving) and the stub is that header.
-func (s *Store) stubSource(tree *btree.Tree, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff int64, res *TierResult) error {
+func (s *Store) stubSource(treeID uint8, structure model.Structure, ds *model.DataSource, schema *model.SchemaType, cutoff int64, res *TierResult) error {
 	lo := keyenc.SourceTime(ds.ID, -1<<62)
 	hi := keyenc.SourceTime(ds.ID, cutoff)
 	type rec struct {
@@ -303,6 +290,7 @@ func (s *Store) stubSource(tree *btree.Tree, structure model.Structure, ds *mode
 		stub []byte
 	}
 	var recs []rec
+	tree := s.trees[treeID]
 	err := tree.Scan(lo, hi, func(k, v []byte) bool {
 		_, baseTS, err := keyenc.DecodeSourceTime(k)
 		if err != nil {
@@ -357,7 +345,6 @@ func (s *Store) stubSource(tree *btree.Tree, structure model.Structure, ds *mode
 	if err != nil {
 		return err
 	}
-	treeID := s.treeID(tree)
 	for _, r := range recs {
 		err := tree.Put(r.key, r.stub)
 		// The record changed under its key: any cached decode is stale.
@@ -384,7 +371,7 @@ func (s *Store) stubSource(tree *btree.Tree, structure model.Structure, ds *mode
 // their format bytes — the census behind Store/TotalStats tier reporting.
 func (s *Store) TierStats() (TierStats, error) {
 	var st TierStats
-	for _, tr := range []*btree.Tree{s.rts, s.irts, s.mg} {
+	for _, tr := range s.trees[cacheTreeRTS:] {
 		cur := tr.First()
 		for cur.Valid() {
 			v, err := cur.Value()

@@ -66,7 +66,7 @@ func TestTierColdCompaction(t *testing.T) {
 	}
 
 	// Every record below the cutoff is now cold; data is bit-identical.
-	if err := f.store.rts.Scan(nil, nil, func(k, v []byte) bool {
+	if err := f.store.trees[cacheTreeRTS].Scan(nil, nil, func(k, v []byte) bool {
 		if tier := BlobTier(v); tier == TierHot {
 			_, baseTS, kerr := keyenc.DecodeSourceTime(k)
 			if kerr != nil {
