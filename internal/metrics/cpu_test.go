@@ -84,9 +84,18 @@ func TestSampleSimulatedTracksMax(t *testing.T) {
 	if !m.Supported() {
 		t.Skip("no procfs")
 	}
+	// Burn until the process CPU clock moves past the meter's start: a
+	// fixed loop can finish inside one clock tick and read as no work.
+	start, _ := ProcessCPUTime()
+	deadline := time.Now().Add(5 * time.Second)
 	x := 0.0
-	for i := 0; i < 10_000_000; i++ {
-		x += float64(i)
+	for time.Now().Before(deadline) {
+		for i := 0; i < 1_000_000; i++ {
+			x += float64(i)
+		}
+		if cpu, _ := ProcessCPUTime(); cpu > start {
+			break
+		}
 	}
 	_ = x
 	m.SampleSimulated(time.Millisecond) // tiny window -> huge load
